@@ -13,7 +13,6 @@ from .board import (
     Move,
     Vertex,
     is_knight_move,
-    make_board,
     parse_board_text,
     serialize_board_text,
     squared_distance,
@@ -87,7 +86,6 @@ __all__ = [
     "find_tour",
     "is_knight_move",
     "longest_path",
-    "make_board",
     "move_decompositions",
     "open_tour_necessary",
     "parse_board_text",

@@ -2,17 +2,22 @@
 
 A board is a k-dimensional box {0..n1-1} x ... x {0..nk-1} minus an optional
 set of removed cells (holes).  Two cells are knight-adjacent exactly when
-their squared Euclidean distance is 5, so every predicate here works in plain
-integer arithmetic; no floating point appears anywhere.
+their squared Euclidean distance is 5: either one coordinate changes by 2 and
+another by 1 (an L-move), or five coordinates change by 1 each (a diagonal5
+move).  Every predicate here works in plain integer arithmetic; no floating
+point appears anywhere.
+
+A board stores its knight graph once, over mixed-radix cell indices, in
+`Board._index_graph()`.  `neighbors`, `adjacency`, `degree_histogram`,
+`is_connected` and `knight_distance` are all derived from that graph.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 Vertex = tuple[int, ...]
 
@@ -58,28 +63,6 @@ class Move:
         return self.squared_length == KNIGHT_SQUARED_LENGTH
 
 
-@lru_cache(maxsize=None)
-def _move_offsets(k: int) -> tuple[Vertex, ...]:
-    """All k-dimensional coordinate-change vectors whose squares sum to 5."""
-    offsets: set[Vertex] = set()
-    if k >= 2:
-        for i, j in itertools.permutations(range(k), 2):
-            for si in (2, -2):
-                for sj in (1, -1):
-                    d = [0] * k
-                    d[i] = si
-                    d[j] = sj
-                    offsets.add(tuple(d))
-    if k >= 5:
-        for axes in itertools.combinations(range(k), 5):
-            for signs in itertools.product((1, -1), repeat=5):
-                d = [0] * k
-                for a, s in zip(axes, signs):
-                    d[a] = s
-                offsets.add(tuple(d))
-    return tuple(sorted(offsets))
-
-
 def format_sides(sides: Iterable[int]) -> str:
     return " x ".join(str(s) for s in sides)
 
@@ -113,13 +96,38 @@ def parse_vertex(text: str) -> Vertex:
         raise ValueError(f"malformed coordinate list {text!r}") from None
 
 
-class Board:
-    """Immutable board: all derived adjacency data is cached and shareable.
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Vertex enumeration and neighbor order are lexicographic on coordinates.
-    Every vertex also has a mixed-radix index (first coordinate most
-    significant), so lexicographic order and index order coincide; holes keep
-    their index, they are just never enumerated or visited.
+
+def _reachable(masks: list[int], origin: int, allowed: int) -> int:
+    """Bitmask of vertices reachable from origin inside allowed | {origin}."""
+    reach = 1 << origin
+    allowed |= reach
+    frontier = reach
+    while frontier:
+        grow = 0
+        for i in _bits(frontier):
+            grow |= masks[i]
+        grow &= allowed & ~reach
+        reach |= grow
+        frontier = grow
+    return reach
+
+
+class Board:
+    """Immutable board whose knight graph is built once and cached.
+
+    Every cell of the box has a mixed-radix index (first coordinate most
+    significant), so index order and lexicographic order coincide; holes keep
+    their index, they are just never enumerated or visited.  The only stored
+    graph is `_index_graph()`, over these indices.  `neighbors` and
+    `adjacency` are views of it, and `degree_histogram`, `is_connected` and
+    `knight_distance` run on it.  Pickling drops the caches.
     """
 
     __slots__ = ("sides", "holes", "_weights", "_box_size", "_cache")
@@ -200,11 +208,13 @@ class Board:
             coords.append(c)
         return tuple(coords)
 
+    def _cells(self) -> Iterator[Vertex]:
+        """Every cell of the box, holes included, in index order."""
+        return itertools.product(*(range(s) for s in self.sides))
+
     def vertices(self) -> Iterator[Vertex]:
         """All non-hole vertices in lexicographic order."""
-        for v in itertools.product(*(range(s) for s in self.sides)):
-            if v not in self.holes:
-                yield v
+        return (v for v in self._cells() if v not in self.holes)
 
     def _require_vertex(self, v: Vertex) -> Vertex:
         v = tuple(v)
@@ -216,60 +226,26 @@ class Board:
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """All non-hole knight targets of v, in lexicographic order."""
-        v = self._require_vertex(v)
-        k = self.dimension
-        out = []
-        if max(self.sides) <= 2:
-            # 0/1 coordinates admit only the five-axis unit moves, and each
-            # axis direction is forced, so flip 5-subsets directly.
-            if k >= 5:
-                for axes in itertools.combinations(range(k), 5):
-                    w = list(v)
-                    ok = True
-                    for a in axes:
-                        w[a] = 1 - w[a]
-                        if w[a] >= self.sides[a]:
-                            ok = False
-                            break
-                    if ok:
-                        t = tuple(w)
-                        if t not in self.holes:
-                            out.append(t)
-        else:
-            for off in _move_offsets(k):
-                w = tuple(c + d for c, d in zip(v, off))
-                if all(0 <= c < s for c, s in zip(w, self.sides)) and w not in self.holes:
-                    out.append(w)
-        out.sort()
-        return tuple(out)
+        i = self.index(self._require_vertex(v))
+        return tuple(self.vertex_at(j) for j in self._index_graph()[0][i])
 
     def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        """Full adjacency map over non-hole vertices (cached)."""
-        adj = self._cache.get("adjacency")
-        if adj is None:
-            adj = {v: self.neighbors(v) for v in self.vertices()}
-            self._cache["adjacency"] = adj
-        return adj
+        """Map from each non-hole vertex to its neighbors, built on each call."""
+        nbrs, _, full = self._index_graph()
+        cells = list(self._cells())
+        return {cells[i]: tuple(cells[j] for j in nbrs[i]) for i in _bits(full)}
 
     def degree_histogram(self) -> dict[int, int]:
         """Map degree -> number of non-hole vertices with that degree."""
-        return dict(sorted(Counter(len(ns) for ns in self.adjacency().values()).items()))
+        nbrs, _, full = self._index_graph()
+        return dict(sorted(Counter(len(nbrs[i]) for i in _bits(full)).items()))
 
     def is_connected(self) -> bool:
         """True iff the knight graph on non-hole vertices is connected."""
         if self.vertex_count == 0:
             raise ValueError("board has no vertices")
-        adj = self.adjacency()
-        start = next(iter(self.vertices()))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.vertex_count
+        _, masks, full = self._index_graph()
+        return _reachable(masks, next(_bits(full)), full) == full
 
     def knight_distance(self, a: Vertex, b: Vertex) -> int | None:
         """Minimum number of knight jumps from a to b; None if unreachable."""
@@ -277,46 +253,99 @@ class Board:
         b = self._require_vertex(b)
         if a == b:
             return 0
-        seen = {a}
-        queue = deque([(a, 0)])
-        while queue:
-            v, d = queue.popleft()
-            for w in self.neighbors(v):
-                if w == b:
-                    return d + 1
-                if w not in seen:
-                    seen.add(w)
-                    queue.append((w, d + 1))
+        _, masks, _ = self._index_graph()
+        target = 1 << self.index(b)
+        seen = frontier = 1 << self.index(a)
+        jumps = 0
+        while frontier:
+            jumps += 1
+            grow = 0
+            for i in _bits(frontier):
+                grow |= masks[i]
+            if grow & target:
+                return jumps
+            frontier = grow & ~seen
+            seen |= frontier
         return None
 
+    def _dark_mask(self) -> int:
+        """Bitmask of the non-hole cells whose coordinate sum is even (cached)."""
+        mask = self._cache.get("dark_mask")
+        if mask is None:
+            mask = 0
+            for i, v in enumerate(self._cells()):
+                if sum(v) % 2 == 0 and v not in self.holes:
+                    mask |= 1 << i
+            self._cache["dark_mask"] = mask
+        return mask
+
     def _index_graph(self) -> tuple[list[tuple[int, ...]], list[int], int]:
-        """Index-based adjacency for the solver (cached).
+        """The knight graph over mixed-radix indices (cached).
 
         Returns (neighbor index tuples, neighbor bitmasks, bitmask of all
-        non-hole indices); lists are indexed by mixed-radix vertex index.
+        non-hole indices); the lists are indexed by cell index and hold ()
+        and 0 at holes.  A move changes the index by one step per changed
+        axis, so a cell's neighbors are its in-box L-moves (a +-2 step on one
+        axis plus a +-1 step on another) and diagonal5 moves (+-1 steps on
+        five axes), minus holes.  Sorted indices are in lexicographic order.
         """
         graph = self._cache.get("index_graph")
-        if graph is None:
-            nbrs: list[tuple[int, ...]] = [() for _ in range(self._box_size)]
-            masks = [0] * self._box_size
-            full = 0
-            for v, ns in self.adjacency().items():
-                i = self.index(v)
-                full |= 1 << i
-                idx = tuple(self.index(w) for w in ns)
-                nbrs[i] = idx
-                m = 0
-                for j in idx:
-                    m |= 1 << j
-                masks[i] = m
-            graph = (nbrs, masks, full)
-            self._cache["index_graph"] = graph
+        if graph is not None:
+            return graph
+
+        def steps(size: int) -> list[list[tuple[int, ...]]]:
+            """[axis][coordinate] -> index deltas of the in-box +-size steps."""
+            return [
+                [tuple(d * w for d in (-size, size) if 0 <= c + d < s) for c in range(s)]
+                for s, w in zip(self.sides, self._weights)
+            ]
+
+        ones, twos = steps(1), steps(2)
+        holes = {self.index(h) for h in self.holes}
+        nbrs: list[tuple[int, ...]] = [()] * self._box_size
+        masks = [0] * self._box_size
+        for i, cell in enumerate(self._cells()):
+            if i in holes:
+                continue
+            unit = [ones[a][c] for a, c in enumerate(cell)]
+            out = [
+                i + d2 + d1
+                for a, c in enumerate(cell)
+                for d2 in twos[a][c]
+                for b, deltas in enumerate(unit)
+                if b != a
+                for d1 in deltas
+            ]
+            # sums[j]: every sum of +-1 steps over j distinct axes seen so far
+            sums: list[list[int]] = [[0], [], [], [], [], []]
+            for deltas in unit:
+                for j in range(4, -1, -1):
+                    sums[j + 1] += [x + d for x in sums[j] for d in deltas]
+            out += [i + x for x in sums[5]]
+            if holes:
+                out = [j for j in out if j not in holes]
+            out.sort()
+            nbrs[i] = tuple(out)
+            mask = 0
+            for j in out:
+                mask |= 1 << j
+            masks[i] = mask
+        full = (1 << self._box_size) - 1
+        for h in holes:
+            full ^= 1 << h
+        graph = (nbrs, masks, full)
+        self._cache["index_graph"] = graph
         return graph
 
 
-def make_board(sides: Iterable[int], holes: Iterable[Iterable[int]] = ()) -> Board:
-    """Construct a board; alias for the Board constructor."""
-    return Board(sides, holes)
+def _parse_hole(body: str, sides: tuple[int, ...]) -> Vertex:
+    """Parse the body of a 'hole:' line and check it against the board sides."""
+    hole = parse_vertex(body)
+    if len(hole) != len(sides):
+        raise ValueError(f"hole {hole} has {len(hole)} coordinates, board has {len(sides)}")
+    if not all(0 <= c < s for c, s in zip(hole, sides)):
+        raise ValueError(f"hole {hole} lies outside the board")
+    return hole
 
 
 def parse_board_text(text: str) -> Board:
@@ -339,16 +368,9 @@ def parse_board_text(text: str) -> Board:
         if not line.startswith("hole:"):
             raise ValueError(f"line {lineno}: expected 'hole: c1,c2,...' lines, got {line!r}")
         try:
-            hole = parse_vertex(line[len("hole:"):])
+            holes.append(_parse_hole(line[len("hole:"):], sides))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if len(hole) != len(sides):
-            raise ValueError(
-                f"line {lineno}: hole {hole} has {len(hole)} coordinates, board has {len(sides)}"
-            )
-        if not all(0 <= c < s for c, s in zip(hole, sides)):
-            raise ValueError(f"line {lineno}: hole {hole} lies outside the board")
-        holes.append(hole)
     if sides is None:
         raise ValueError("board description has no side header line")
     return Board(sides, holes)

@@ -25,7 +25,7 @@ from .feasibility import (
     color_counts,
     open_tour_necessary,
 )
-from .search import SearchConfig, SearchStatus, find_tour, longest_path
+from .search import SearchConfig, SearchOutcome, SearchStatus, find_tour, longest_path
 from .tour import (
     Tour,
     TourKind,
@@ -151,20 +151,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if any(v.feasible for v in verdicts.values()) else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    board = _board_from_args(args)
-    config = SearchConfig(
-        target=TourKind(args.target),
-        start=parse_vertex(args.start) if args.start else None,
-        use_warnsdorff=not args.no_warnsdorff,
-        node_budget=args.budget,
-        deterministic=not args.non_deterministic,
-        parallel_width=args.parallel,
-    )
-    outcome = find_tour(board, config)
+def _emit_outcome(args: argparse.Namespace, outcome: SearchOutcome, depth_label: str) -> int:
+    """Report a search outcome: summary on stderr, tour or JSON on stdout."""
     print(
-        f"status: {outcome.status.value}  nodes: {outcome.nodes_expanded}  "
-        f"max depth: {outcome.max_depth_reached}",
+        f"status: {outcome.status.value}  nodes: {outcome.nodes_expanded}  {depth_label}",
         file=sys.stderr,
     )
     tour_text = outcome.tour.serialized() if outcome.tour else None
@@ -181,26 +171,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if outcome.status is SearchStatus.FOUND else 1
 
 
+def _cmd_search(args: argparse.Namespace) -> int:
+    board = _board_from_args(args)
+    config = SearchConfig(
+        target=TourKind(args.target),
+        start=parse_vertex(args.start) if args.start else None,
+        use_warnsdorff=not args.no_warnsdorff,
+        node_budget=args.budget,
+        deterministic=not args.non_deterministic,
+        parallel_width=args.parallel,
+    )
+    outcome = find_tour(board, config)
+    return _emit_outcome(args, outcome, f"max depth: {outcome.max_depth_reached}")
+
+
 def _cmd_longest(args: argparse.Namespace) -> int:
     board = _board_from_args(args)
     outcome = longest_path(board, node_budget=args.budget)
-    print(
-        f"status: {outcome.status.value}  nodes: {outcome.nodes_expanded}  "
-        f"best: {outcome.max_depth_reached} vertices",
-        file=sys.stderr,
-    )
-    tour_text = outcome.tour.serialized()
-    if args.format == "json":
-        payload = {
-            "status": outcome.status.value,
-            "nodes_expanded": outcome.nodes_expanded,
-            "max_depth_reached": outcome.max_depth_reached,
-            "tour": tour_text,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        sys.stdout.write(tour_text)
-    return 0 if outcome.status is SearchStatus.FOUND else 1
+    return _emit_outcome(args, outcome, f"best: {outcome.max_depth_reached} vertices")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -297,8 +285,8 @@ def _board_dot(board: Board) -> str:
     lines = ["graph {"]
     for v in board.vertices():
         lines.append(f'  "{format_vertex(v)}";')
-    for v in board.vertices():
-        for w in board.neighbors(v):
+    for v, ns in board.adjacency().items():
+        for w in ns:
             if v < w:
                 lines.append(
                     f'  "{format_vertex(v)}" -- "{format_vertex(w)}" '

@@ -87,8 +87,3 @@ def raw_text(entry_id: str) -> str:
 def get(entry_id: str) -> CorpusEntry:
     board, kind, vertices = parse_tour(raw_text(entry_id))
     return CorpusEntry(entry_id, board, kind, tuple(vertices), _PROVENANCE[entry_id])
-
-
-def near_closed_extension() -> CorpusEntry:
-    """The 244-jump round trip built from the open tour on the 3^5 board."""
-    return get(NEAR_CLOSED_3_5)

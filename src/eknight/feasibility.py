@@ -34,7 +34,7 @@ class ColorCounts(NamedTuple):
 
 def color_counts(board: Board) -> ColorCounts:
     """Dark/light counts over all non-hole vertices."""
-    dark = sum(1 for v in board.vertices() if sum(v) % 2 == 0)
+    dark = board._dark_mask().bit_count()
     return ColorCounts(dark, board.vertex_count - dark)
 
 

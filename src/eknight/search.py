@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .board import Board, Vertex
+from .board import Board, Vertex, _bits, _reachable
 from .feasibility import closed_tour_necessary, color_counts, open_tour_necessary
 from .tour import Tour, TourKind
 
@@ -85,28 +85,6 @@ class _Counters:
             self.max_depth = depth
         if self.budget is not None and self.nodes > self.budget:
             raise _BudgetExceeded
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _reachable(masks: list[int], origin: int, allowed: int) -> int:
-    """Bitmask of vertices reachable from origin inside allowed | {origin}."""
-    reach = 1 << origin
-    allowed |= reach
-    frontier = reach
-    while frontier:
-        grow = 0
-        for i in _bits(frontier):
-            grow |= masks[i]
-        grow &= allowed & ~reach
-        reach |= grow
-        frontier = grow
-    return reach
 
 
 def _alternation_bound(dark_mask: int, cells: int, head_dark: bool) -> int:
@@ -174,15 +152,6 @@ def _ordered_successors(
         rest = ~visited
         candidates.sort(key=lambda s: (masks[s] & rest & ~(1 << s)).bit_count())
     return candidates
-
-
-def _board_dark_mask(board: Board) -> int:
-    """Bitmask of the non-hole vertices whose coordinate sum is even."""
-    mask = 0
-    for v in board.vertices():
-        if sum(v) % 2 == 0:
-            mask |= 1 << board.index(v)
-    return mask
 
 
 def _branch_dfs(
@@ -269,10 +238,20 @@ def _root_branches(board: Board, config: SearchConfig, split_first_moves: bool):
     return graph, [(s, None) for s in starts]
 
 
-def _branch_worker(payload) -> tuple[str, list[int] | None, int, int]:
-    board, start, first, n, closed, use_warnsdorff, deterministic, budget = payload
-    graph = board._index_graph()
-    dark_mask = _board_dark_mask(board)
+# The run constants of a parallel search, set once per worker process by
+# _init_worker: (graph, dark mask, n, closed, use_warnsdorff, deterministic,
+# node budget).  Fork-started workers inherit them without pickling.
+_worker_run: tuple = ()
+
+
+def _init_worker(*run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _branch_worker(branch: tuple[int, int | None]) -> tuple[str, list[int] | None, int, int]:
+    start, first = branch
+    graph, dark_mask, n, closed, use_warnsdorff, deterministic, budget = _worker_run
     counters = _Counters(budget)
     rng = None if deterministic else random.Random()
     try:
@@ -315,11 +294,14 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     parallel = config.parallel_width > 0 and not sequential_budget
     graph, branches = _root_branches(board, config, split_first_moves=parallel)
 
+    dark_mask = board._dark_mask()
     if parallel and len(branches) > 1:
-        status, path, nodes, max_depth = _run_parallel(board, config, branches, n, closed)
+        status, path, nodes, max_depth = _run_parallel(
+            graph, dark_mask, config, branches, n, closed
+        )
     else:
         status, path, nodes, max_depth = _run_sequential(
-            graph, _board_dark_mask(board), config, branches, n, closed
+            graph, dark_mask, config, branches, n, closed
         )
 
     if path is None:
@@ -358,37 +340,37 @@ def _run_sequential(graph, dark_mask, config, branches, n, closed):
     return ("EXHAUSTED_NONE", None, counters.nodes, counters.max_depth)
 
 
-def _run_parallel(board, config, branches, n, closed):
+def _run_parallel(graph, dark_mask, config, branches, n, closed):
     """Root-split search over worker processes.
 
+    Each worker receives the graph and the run constants once, through the
+    pool initializer; a task is just its (start, first) branch.
     Deterministic mode consumes branch results in branch order and stops at
     the first tour, which matches the sequential traversal exactly; workers
     still grinding on later branches are terminated.  Non-deterministic mode
     takes whichever tour finishes first.
     """
-    payloads = [
-        (
-            board,
-            start,
-            first,
-            n,
-            closed,
-            config.use_warnsdorff,
-            config.deterministic,
-            config.node_budget,
-        )
-        for start, first in branches
-    ]
+    run = (
+        graph,
+        dark_mask,
+        n,
+        closed,
+        config.use_warnsdorff,
+        config.deterministic,
+        config.node_budget,
+    )
     nodes = 0
     max_depth = 0
     budget_hit = False
-    pool = multiprocessing.get_context("fork").Pool(processes=config.parallel_width)
+    pool = multiprocessing.get_context("fork").Pool(
+        processes=config.parallel_width, initializer=_init_worker, initargs=run
+    )
     try:
         if config.deterministic:
-            results = iter([pool.apply_async(_branch_worker, (p,)) for p in payloads])
+            results = iter([pool.apply_async(_branch_worker, (b,)) for b in branches])
             results = (r.get() for r in results)
         else:
-            results = pool.imap_unordered(_branch_worker, payloads)
+            results = pool.imap_unordered(_branch_worker, branches)
         for status, path, branch_nodes, branch_depth in results:
             nodes += branch_nodes
             max_depth = max(max_depth, branch_depth)
@@ -438,7 +420,7 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     graph = board._index_graph()
     _, masks, full = graph
     n = board.vertex_count
-    dark_mask = _board_dark_mask(board)
+    dark_mask = board._dark_mask()
 
     best: list[int] = []
     for s in _bits(full):

@@ -24,6 +24,7 @@ from .board import (
     KNIGHT_SQUARED_LENGTH,
     Board,
     Vertex,
+    _parse_hole,
     format_sides,
     format_vertex,
     is_knight_move,
@@ -234,17 +235,9 @@ def parse_tour(text: str) -> tuple[Board, TourKind, list[Vertex]]:
             continue
         if kind is None and line.startswith("hole:"):
             try:
-                hole = parse_vertex(line[len("hole:"):])
+                holes.append(_parse_hole(line[len("hole:"):], sides))
             except ValueError as exc:
                 raise TourParseError(lineno, str(exc)) from None
-            if len(hole) != len(sides):
-                raise TourParseError(
-                    lineno,
-                    f"hole {hole} has {len(hole)} coordinates, board has {len(sides)}",
-                )
-            if not all(0 <= c < s for c, s in zip(hole, sides)):
-                raise TourParseError(lineno, f"hole {hole} lies outside the board")
-            holes.append(hole)
             continue
         if kind is None:
             if not line.startswith("kind:"):

@@ -83,7 +83,7 @@ def test_criterion_02_closed_corpus_tours():
 
 def test_criterion_03_near_closed_walk():
     started = time.perf_counter()
-    entry = corpus.near_closed_extension()
+    entry = corpus.get(corpus.NEAR_CLOSED_3_5)
     report = verify(entry.board, entry.vertices, TourKind.NEAR_CLOSED)
     assert report.valid
     assert report.link_count == 244 == 3 ** 5 + 1

@@ -1,5 +1,7 @@
 import itertools
 import pickle
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,6 @@ from eknight.board import (
     Board,
     Move,
     is_knight_move,
-    make_board,
     parse_board_text,
     parse_sides,
     parse_vertex,
@@ -16,9 +17,9 @@ from eknight.board import (
     squared_distance,
     taxicab_distance,
 )
-from eknight.feasibility import move_decompositions
+from eknight.feasibility import color_counts, move_decompositions
 
-from bruteforce import brute_adjacency
+from bruteforce import brute_adjacency, random_board
 
 
 def test_make_board_examples():
@@ -98,13 +99,21 @@ def test_neighbors_rejects_holes_and_outside():
 
 @pytest.mark.parametrize(
     "board",
-    [Board([3, 3]), Board([2] * 6), Board([3, 3, 3], holes=[(1, 1, 1)])],
-    ids=["3x3", "2^6", "3^3-center"],
+    [
+        Board([3, 3]),
+        Board([2] * 6),
+        Board([3, 3, 3], holes=[(1, 1, 1)]),
+        Board([2, 3, 4, 1, 2, 3]),
+        Board([5, 2, 3, 2, 2, 2], holes=[(0, 0, 0, 0, 0, 0), (4, 1, 2, 1, 1, 1)]),
+        Board([3] * 5),
+    ],
+    ids=["3x3", "2^6", "3^3-center", "2x3x4x1x2x3", "5x2x3x2x2x2-holes", "3^5"],
 )
 def test_neighbors_match_brute_force(board):
     brute = brute_adjacency(board)
     for v in board.vertices():
         assert list(board.neighbors(v)) == sorted(brute[v])
+    assert board.adjacency() == {v: tuple(sorted(ns)) for v, ns in brute.items()}
 
 
 def test_neighbor_consistency():
@@ -160,6 +169,39 @@ def test_knight_distance_metric_axioms(board):
                 assert dist[a, b] <= dist[a, c] + dist[c, b]
 
 
+def _brute_distances(adj, source):
+    """Jump counts from source to every vertex it reaches, by plain BFS."""
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def test_board_queries_match_brute_force():
+    rng = random.Random(2468)
+    for _ in range(60):
+        board = random_board(rng)
+        brute = brute_adjacency(board)
+        verts = list(brute)
+        for a in verts:
+            dist = _brute_distances(brute, a)
+            for b in verts:
+                assert board.knight_distance(a, b) == dist.get(b), (board, a, b)
+        reached = _brute_distances(brute, verts[0])
+        assert board.is_connected() == (len(reached) == len(verts)), board
+        degrees = Counter(len(ns) for ns in brute.values())
+        assert board.degree_histogram() == dict(sorted(degrees.items())), board
+        dark = sum(1 for v in verts if sum(v) % 2 == 0)
+        assert color_counts(board) == (dark, len(verts) - dark), board
+
+
 def test_move_changes_match_decompositions():
     # every edge's nonzero |coordinate change| multiset is a legal decomposition
     for board in (Board([3, 3]), Board([3] * 5)):
@@ -193,9 +235,12 @@ def test_board_equality_and_pickle():
     b = Board((3, 3), holes=[[1, 1]])
     assert a == b and hash(a) == hash(b)
     assert a != Board([3, 3])
-    a.adjacency()  # populate caches, then make sure pickling drops them cleanly
+    a._index_graph()  # populate the graph cache, then make sure pickling drops it
+    a._dark_mask()
+    assert a._cache
     c = pickle.loads(pickle.dumps(a))
     assert c == a
+    assert not c._cache
     assert c.degree_histogram() == a.degree_histogram()
 
 
@@ -218,7 +263,3 @@ def test_board_text_round_trip():
         parse_board_text("3 x 3\nhole: 1,1\nhole: 9,9\n")
     with pytest.raises(ValueError):
         parse_board_text("# nothing\n")
-
-
-def test_make_board_alias():
-    assert make_board([2, 2]) == Board([2, 2])

@@ -73,7 +73,7 @@ def test_pbar_partial_chain():
 
 
 def test_near_closed_extension():
-    entry = corpus.near_closed_extension()
+    entry = corpus.get(corpus.NEAR_CLOSED_3_5)
     assert entry.id == corpus.NEAR_CLOSED_3_5
     open_tour = corpus.get(corpus.PO_3_5)
     assert entry.vertices[:243] == open_tour.vertices

@@ -175,6 +175,20 @@ def test_parallel_matches_sequential():
     assert none_seq.status is none_par.status is SearchStatus.EXHAUSTED_NONE
 
 
+def test_parallel_workers_receive_run_settings():
+    # the determinism flag and the node budget reach the workers once, through
+    # the pool initializer, not with each branch
+    board = Board([3, 3], holes=[(1, 1)])
+    config = SearchConfig(target=TourKind.CLOSED, deterministic=False, parallel_width=2)
+    outcome = find_tour(board, config)
+    assert outcome.status is SearchStatus.FOUND
+    assert outcome.tour.report().valid
+    config = SearchConfig(
+        target=TourKind.CLOSED, deterministic=False, parallel_width=2, node_budget=50
+    )
+    assert find_tour(Board([4, 8]), config).status is SearchStatus.BUDGET_EXCEEDED
+
+
 def test_non_deterministic_mode_still_verifies():
     board = Board([3, 3], holes=[(1, 1)])
     outcome = find_tour(board, SearchConfig(target=TourKind.CLOSED, deterministic=False))

@@ -44,6 +44,21 @@ def _flip(v: Vertex, axes: tuple[int, ...]) -> Vertex:
     return tuple(w)
 
 
+def _double(vertices: tuple[Vertex, ...], axes: tuple[int, ...]) -> tuple[Vertex, ...]:
+    """One doubling step on a plain vertex sequence, unchecked."""
+    mirrored = [_flip(v, axes) + (1,) for v in reversed(vertices)]
+    return tuple([v + (0,) for v in vertices] + mirrored)
+
+
+def _verified(tour: Tour) -> Tour:
+    out = tour.report()
+    if not out.valid:
+        raise RuntimeError(
+            f"internal error: extension broke at {out.first_violation.description}"
+        )
+    return tour
+
+
 def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
     """Extend a closed tour on the k-cube to a closed tour on the (k+1)-cube.
 
@@ -66,17 +81,8 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
             f"base tour fails closed verification: {report.first_violation.description}"
         )
     axes = _validate_mask(DEFAULT_FLIP_MASK if mask is None else mask, k)
-
-    first_half = [v + (0,) for v in base.vertices]
-    mirrored = [_flip(v, axes) + (1,) for v in base.vertices]
-    mirrored.reverse()
-    result = Tour(Board([2] * (k + 1)), TourKind.CLOSED, tuple(first_half + mirrored))
-    out = result.report()
-    if not out.valid:
-        raise RuntimeError(
-            f"internal error: extension broke at {out.first_violation.description}"
-        )
-    return result
+    vertices = _double(base.vertices, axes)
+    return _verified(Tour(Board([2] * (k + 1)), TourKind.CLOSED, vertices))
 
 
 def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:
@@ -84,7 +90,8 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
 
     k == 6 returns the embedded base tour; larger k iterates the doubling
     step, flipping the default axes (or masks[i] at step i when given,
-    len(masks) == k - 6).
+    len(masks) == k - 6).  Only the returned tour is verified: the
+    intermediate levels are plain vertex sequences.
     """
     if k < 6:
         raise ValueError(
@@ -92,7 +99,8 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
         )
     if masks is not None and len(masks) != k - 6:
         raise ValueError(f"need {k - 6} masks to reach dimension {k}, got {len(masks)}")
-    tour = corpus.get(corpus.PC_2_6).tour()
+    vertices = corpus.get(corpus.PC_2_6).vertices
     for level in range(k - 6):
-        tour = extend_closed_tour(tour, None if masks is None else masks[level])
-    return tour
+        mask = DEFAULT_FLIP_MASK if masks is None else masks[level]
+        vertices = _double(vertices, _validate_mask(mask, 6 + level))
+    return _verified(Tour(Board([2] * k), TourKind.CLOSED, vertices))

@@ -1,10 +1,11 @@
 """Reference tours shipped as data files in the tour file format.
 
-Every entry is parsed from its `.tour` file on first access and must pass
-verification against its claimed kind; the test suite rejects any
-transcription drift.  PBAR_3_3_TWO_HOLES is a deliberate exception: it is a
-partial chain (kind `path`) that covers 25 of the 26 cells of its board, so
-only link legality and distinctness apply.
+Every entry is parsed from its `.tour` file on first access; `get` does not
+verify it.  `eknight corpus check-all` and the test suite verify every entry
+against its claimed kind, so any transcription drift fails them.
+PBAR_3_3_TWO_HOLES is a deliberate exception: it is a partial chain (kind
+`path`) that covers 25 of the 26 cells of its board, so only link legality
+and distinctness apply.
 """
 
 from __future__ import annotations

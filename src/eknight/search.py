@@ -1,9 +1,16 @@
 """Tour search: backtracking with sound pruning, plus exhaustive proofs.
 
-The solver walks the knight graph with an explicit stack (depth can reach the
-full vertex count), tracking visited cells as a bitmask over mixed-radix
-vertex indices.  Index order equals lexicographic order, so "smallest index
-first" is the lexicographic tie-break everywhere.
+One driver, `_dfs`, walks the knight graph with an explicit stack (depth can
+reach the full vertex count), tracking visited cells as a bitmask over
+mixed-radix vertex indices.  Index order equals lexicographic order, so
+"smallest index first" is the lexicographic tie-break everywhere.  Tour
+search and the exact longest path differ only in the two callbacks they hand
+it: which successors to try below a head, and what a new path means.
+
+Tour search splits its work into root branches (a start vertex, optionally
+with a forced first move).  Branches run in-process or on a worker pool, each
+yields (status, path, nodes, depth), and `find_tour` folds those results in
+one loop.
 
 Pruning only cuts branches that provably cannot finish:
 
@@ -22,13 +29,15 @@ space without losing any cycle.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 from .board import Board, Vertex, _bits, _reachable
-from .feasibility import closed_tour_necessary, color_counts, open_tour_necessary
+from .feasibility import closed_tour_necessary, open_tour_necessary
 from .tour import Tour, TourKind
 
 
@@ -44,10 +53,14 @@ class SearchConfig:
 
     With deterministic=True the found tour is independent of parallel_width
     and identical across runs; node statistics may still vary with
-    parallelism.  node_budget bounds path-push operations; budgeted
-    deterministic runs execute sequentially so the budget semantics stay
-    exact.  use_feasibility_precheck=False forces a full search even when the
-    necessary-condition scan could short-circuit.
+    parallelism.  use_feasibility_precheck=False forces a full search even
+    when the necessary-condition scan could short-circuit.
+
+    node_budget bounds path-push operations.  A sequential run spends one
+    budget across all root branches, and a budgeted deterministic run is
+    always sequential, so its budget is exact.  A non-deterministic parallel
+    run gives each root branch the full budget, so nodes_expanded may exceed
+    it.
     """
 
     target: TourKind = TourKind.OPEN
@@ -85,6 +98,11 @@ class _Counters:
             self.max_depth = depth
         if self.budget is not None and self.nodes > self.budget:
             raise _BudgetExceeded
+
+
+def _check_budget(node_budget: int | None) -> None:
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node_budget must be positive")
 
 
 def _alternation_bound(dark_mask: int, cells: int, head_dark: bool) -> int:
@@ -154,113 +172,123 @@ def _ordered_successors(
     return candidates
 
 
-def _branch_dfs(
-    graph: tuple[list[tuple[int, ...]], list[int], int],
-    dark_mask: int,
+def _dfs(
     start: int,
-    forced_first: int | None,
-    n: int,
-    closed: bool,
-    use_warnsdorff: bool,
-    rng: random.Random | None,
+    expand: Callable[[int, int], list[int]],
+    accept: Callable[[list[int]], bool],
     counters: _Counters,
+    first: int | None = None,
 ) -> list[int] | None:
-    """Depth-first search of one root branch; returns a found path or None."""
-    _, masks, full = graph
-    anchor = start if closed else None
+    """Depth-first walk of the simple paths from start; the one search loop.
+
+    expand(head, visited) lists the successors to try in order ([] cuts the
+    branch); accept(path) runs after every push, the root included, and True
+    stops the walk with that path.  first, when given, is the only move tried
+    from start.  Every push is charged to counters.
+    """
     path = [start]
     visited = 1 << start
     counters.spend(1)
-    if n == 1:
-        return None if closed else path
-
-    def push(vertex: int) -> bool:
-        nonlocal visited
-        visited |= 1 << vertex
-        path.append(vertex)
-        counters.spend(len(path))
-        if len(path) == n:
-            if not closed:
-                return True
-            # closing link plus direction rule: second < last
-            return bool(masks[path[-1]] & (1 << start)) and path[1] < path[-1]
-        return False
-
-    def viable(vertex: int) -> list[int]:
-        if _prunable(masks, full, dark_mask, visited, vertex, anchor):
-            return []
-        pending = _ordered_successors(masks, vertex, visited, use_warnsdorff, rng)
-        pending.reverse()
-        return pending
-
-    if forced_first is not None:
-        if push(forced_first):
-            return path
-        stack = [viable(forced_first)]
-    else:
-        stack = [viable(start)]
-
+    if accept(path):
+        return path
+    stack = [iter([first] if first is not None else expand(start, visited))]
     while stack:
-        pending = stack[-1]
-        if not pending:
+        nxt = next(stack[-1], None)
+        if nxt is None:
             stack.pop()
             visited &= ~(1 << path.pop())
             continue
-        nxt = pending.pop()
-        if push(nxt):
+        visited |= 1 << nxt
+        path.append(nxt)
+        counters.spend(len(path))
+        if accept(path):
             return path
-        stack.append(viable(nxt))
+        stack.append(iter(expand(nxt, visited)))
     return None
 
 
-def _root_branches(board: Board, config: SearchConfig, split_first_moves: bool):
-    """Root branches as (start index, forced first index | None) pairs."""
-    graph = board._index_graph()
-    _, masks, full = graph
-    closed = config.target is TourKind.CLOSED
-    if config.start is not None:
-        start_vertices = [board._require_vertex(config.start)]
-    elif closed:
-        start_vertices = [next(iter(board.vertices()))]
+def _search_branch(
+    run: tuple,
+    rng: random.Random | None,
+    counters: _Counters,
+    branch: tuple[int, int | None],
+) -> tuple[SearchStatus, list[int] | None, int, int]:
+    """One root branch as (status, path, nodes it spent, max depth so far).
+
+    run holds the constants of the search: (neighbour bitmasks, full mask,
+    dark mask, n, closed, use_warnsdorff).
+    """
+    masks, full, dark_mask, n, closed, use_warnsdorff = run
+    start, first = branch
+    anchor = start if closed else None
+
+    def expand(head: int, visited: int) -> list[int]:
+        if _prunable(masks, full, dark_mask, visited, head, anchor):
+            return []
+        return _ordered_successors(masks, head, visited, use_warnsdorff, rng)
+
+    def accept(path: list[int]) -> bool:
+        if len(path) < n:
+            return False
+        # closing link plus direction rule: second < last
+        return not closed or bool(masks[path[-1]] >> start & 1) and path[1] < path[-1]
+
+    spent = counters.nodes
+    try:
+        path = _dfs(start, expand, accept, counters, first)
+    except _BudgetExceeded:
+        status, path = SearchStatus.BUDGET_EXCEEDED, None
     else:
-        start_vertices = list(board.vertices())
-        dark, light = color_counts(board)
-        if abs(dark - light) == 1:
-            # any open tour must start and end on the majority color
-            majority = 0 if dark > light else 1
-            start_vertices = [v for v in start_vertices if sum(v) % 2 == majority]
-    starts = [board.index(v) for v in start_vertices]
-    if closed and split_first_moves:
-        s = starts[0]
-        rng = None if config.deterministic else random.Random()
-        order = _ordered_successors(masks, s, 1 << s, config.use_warnsdorff, rng)
-        return graph, [(s, f) for f in order]
-    return graph, [(s, None) for s in starts]
+        status = SearchStatus.EXHAUSTED_NONE if path is None else SearchStatus.FOUND
+    return status, path, counters.nodes - spent, counters.max_depth
 
 
-# The run constants of a parallel search, set once per worker process by
-# _init_worker: (graph, dark mask, n, closed, use_warnsdorff, deterministic,
-# node budget).  Fork-started workers inherit them without pickling.
+def _in_process(run: tuple, config: SearchConfig, branches) -> Iterator[tuple]:
+    """Branch results in order, sharing one budget; stops after a budget hit."""
+    counters = _Counters(config.node_budget)
+    rng = None if config.deterministic else random.Random()
+    for branch in branches:
+        result = _search_branch(run, rng, counters, branch)
+        yield result
+        if result[0] is SearchStatus.BUDGET_EXCEEDED:
+            return
+
+
+# The settings of a pooled search, set once per worker process by
+# _init_worker: (run constants, deterministic, node budget).  Fork-started
+# workers inherit them without pickling.
 _worker_run: tuple = ()
 
 
-def _init_worker(*run) -> None:
+def _init_worker(*settings) -> None:
     global _worker_run
-    _worker_run = run
+    _worker_run = settings
 
 
-def _branch_worker(branch: tuple[int, int | None]) -> tuple[str, list[int] | None, int, int]:
-    start, first = branch
-    graph, dark_mask, n, closed, use_warnsdorff, deterministic, budget = _worker_run
-    counters = _Counters(budget)
+def _branch_worker(branch: tuple[int, int | None]) -> tuple:
+    run, deterministic, budget = _worker_run
     rng = None if deterministic else random.Random()
+    return _search_branch(run, rng, _Counters(budget), branch)
+
+
+def _pooled(run: tuple, config: SearchConfig, branches) -> Iterator[tuple]:
+    """Branch results from worker processes, each branch on its own budget.
+
+    Deterministic mode yields results in branch order, so the first tour is
+    the sequential one; otherwise results come as branches finish.  Closing
+    the generator terminates the workers still grinding on later branches.
+    """
+    pool = multiprocessing.get_context("fork").Pool(
+        processes=config.parallel_width,
+        initializer=_init_worker,
+        initargs=(run, config.deterministic, config.node_budget),
+    )
     try:
-        path = _branch_dfs(
-            graph, dark_mask, start, first, n, closed, use_warnsdorff, rng, counters
-        )
-    except _BudgetExceeded:
-        return ("budget", None, counters.nodes, counters.max_depth)
-    return ("found" if path else "none", path, counters.nodes, counters.max_depth)
+        results = pool.imap if config.deterministic else pool.imap_unordered
+        yield from results(_branch_worker, branches)
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome:
@@ -274,14 +302,12 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     config = config or SearchConfig()
     if config.target not in (TourKind.OPEN, TourKind.CLOSED):
         raise ValueError(f"search targets open or closed tours, not {config.target.value}")
-    if config.node_budget is not None and config.node_budget < 1:
-        raise ValueError("node_budget must be positive")
+    _check_budget(config.node_budget)
     if config.parallel_width < 0:
         raise ValueError("parallel_width must be >= 0")
     if board.vertex_count < 1:
         raise ValueError("board has no vertices")
-    if config.start is not None:
-        board._require_vertex(tuple(config.start))
+    start = None if config.start is None else board.index(board._require_vertex(config.start))
 
     closed = config.target is TourKind.CLOSED
     if config.use_feasibility_precheck:
@@ -289,23 +315,47 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
         if not verdict.feasible:
             return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, 0, 0)
 
-    n = board.vertex_count
+    _, masks, full = board._index_graph()
+    dark_mask = board._dark_mask()
+    if start is not None:
+        starts = [start]
+    elif closed:
+        starts = [next(_bits(full))]
+    else:
+        starts = list(_bits(full))
+        dark = dark_mask.bit_count()
+        light = board.vertex_count - dark
+        if abs(dark - light) == 1:
+            # any open tour must start and end on the majority color
+            starts = list(_bits(dark_mask if dark > light else full & ~dark_mask))
+
     sequential_budget = config.deterministic and config.node_budget is not None
     parallel = config.parallel_width > 0 and not sequential_budget
-    graph, branches = _root_branches(board, config, split_first_moves=parallel)
-
-    dark_mask = board._dark_mask()
-    if parallel and len(branches) > 1:
-        status, path, nodes, max_depth = _run_parallel(
-            graph, dark_mask, config, branches, n, closed
-        )
+    if closed and parallel:
+        s = starts[0]
+        rng = None if config.deterministic else random.Random()
+        order = _ordered_successors(masks, s, 1 << s, config.use_warnsdorff, rng)
+        branches = [(s, f) for f in order]
     else:
-        status, path, nodes, max_depth = _run_sequential(
-            graph, dark_mask, config, branches, n, closed
-        )
+        branches = [(s, None) for s in starts]
+
+    run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff)
+    producer = _pooled if parallel and len(branches) > 1 else _in_process
+    path = None
+    nodes = max_depth = 0
+    budget_hit = False
+    with contextlib.closing(producer(run, config, branches)) as results:
+        for status, branch_path, branch_nodes, branch_depth in results:
+            nodes += branch_nodes
+            max_depth = max(max_depth, branch_depth)
+            if status is SearchStatus.FOUND:
+                path = branch_path
+                break
+            budget_hit |= status is SearchStatus.BUDGET_EXCEEDED
 
     if path is None:
-        return SearchOutcome(SearchStatus[status], None, nodes, max_depth)
+        status = SearchStatus.BUDGET_EXCEEDED if budget_hit else SearchStatus.EXHAUSTED_NONE
+        return SearchOutcome(status, None, nodes, max_depth)
     vertices = tuple(board.vertex_at(i) for i in path)
     tour = Tour(board, config.target, vertices)
     report = tour.report()
@@ -315,75 +365,6 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
             f"({report.first_violation.description})"
         )
     return SearchOutcome(SearchStatus.FOUND, tour, nodes, max_depth)
-
-
-def _run_sequential(graph, dark_mask, config, branches, n, closed):
-    counters = _Counters(config.node_budget)
-    rng = None if config.deterministic else random.Random()
-    try:
-        for start, first in branches:
-            path = _branch_dfs(
-                graph,
-                dark_mask,
-                start,
-                first,
-                n,
-                closed,
-                config.use_warnsdorff,
-                rng,
-                counters,
-            )
-            if path is not None:
-                return ("FOUND", path, counters.nodes, counters.max_depth)
-    except _BudgetExceeded:
-        return ("BUDGET_EXCEEDED", None, counters.nodes, counters.max_depth)
-    return ("EXHAUSTED_NONE", None, counters.nodes, counters.max_depth)
-
-
-def _run_parallel(graph, dark_mask, config, branches, n, closed):
-    """Root-split search over worker processes.
-
-    Each worker receives the graph and the run constants once, through the
-    pool initializer; a task is just its (start, first) branch.
-    Deterministic mode consumes branch results in branch order and stops at
-    the first tour, which matches the sequential traversal exactly; workers
-    still grinding on later branches are terminated.  Non-deterministic mode
-    takes whichever tour finishes first.
-    """
-    run = (
-        graph,
-        dark_mask,
-        n,
-        closed,
-        config.use_warnsdorff,
-        config.deterministic,
-        config.node_budget,
-    )
-    nodes = 0
-    max_depth = 0
-    budget_hit = False
-    pool = multiprocessing.get_context("fork").Pool(
-        processes=config.parallel_width, initializer=_init_worker, initargs=run
-    )
-    try:
-        if config.deterministic:
-            results = iter([pool.apply_async(_branch_worker, (b,)) for b in branches])
-            results = (r.get() for r in results)
-        else:
-            results = pool.imap_unordered(_branch_worker, branches)
-        for status, path, branch_nodes, branch_depth in results:
-            nodes += branch_nodes
-            max_depth = max(max_depth, branch_depth)
-            if status == "found":
-                return ("FOUND", path, nodes, max_depth)
-            if status == "budget":
-                budget_hit = True
-    finally:
-        pool.terminate()
-        pool.join()
-    if budget_hit:
-        return ("BUDGET_EXCEEDED", None, nodes, max_depth)
-    return ("EXHAUSTED_NONE", None, nodes, max_depth)
 
 
 def prove_nonexistence(
@@ -415,10 +396,10 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     With a binding budget the best path found so far is returned with status
     budget_exceeded.
     """
+    _check_budget(node_budget)
     if board.vertex_count < 1:
         raise ValueError("board has no vertices")
-    graph = board._index_graph()
-    _, masks, full = graph
+    _, masks, full = board._index_graph()
     n = board.vertex_count
     dark_mask = board._dark_mask()
 
@@ -430,13 +411,29 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
             if len(best) == n:
                 break
 
+    def expand(head: int, visited: int) -> list[int]:
+        rest = full & ~visited
+        reach_rest = _reachable(masks, head, rest) & rest
+        bound = min(
+            reach_rest.bit_count(),
+            _alternation_bound(dark_mask, reach_rest, bool(dark_mask >> head & 1)),
+        )
+        if visited.bit_count() + bound <= len(best):
+            return []
+        return list(_bits(masks[head] & ~visited))
+
+    def accept(path: list[int]) -> bool:
+        if len(path) <= len(best):
+            return False
+        best[:] = path
+        return len(best) == n
+
     counters = _Counters(node_budget)
     status = SearchStatus.FOUND
     if len(best) < n:
         try:
             for s in _bits(full):
-                found_full = _longest_from(masks, full, dark_mask, s, n, best, counters)
-                if found_full:
+                if _dfs(s, expand, accept, counters) is not None:
                     break
         except _BudgetExceeded:
             status = SearchStatus.BUDGET_EXCEEDED
@@ -450,65 +447,10 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
 
 
 def _greedy_walk(masks: list[int], start: int) -> list[int]:
-    """Fewest-onward-moves walk from start; deterministic tie-breaks."""
+    """Fewest-onward-moves walk from start; ties go to the smaller index."""
     path = [start]
     visited = 1 << start
-    head = start
-    while True:
-        candidates = list(_bits(masks[head] & ~visited))
-        if not candidates:
-            return path
-        rest = ~visited
-        head = min(
-            candidates, key=lambda s: ((masks[s] & rest & ~(1 << s)).bit_count(), s)
-        )
-        visited |= 1 << head
-        path.append(head)
-
-
-def _longest_from(
-    masks: list[int],
-    full: int,
-    dark_mask: int,
-    start: int,
-    n: int,
-    best: list[int],
-    counters: _Counters,
-) -> bool:
-    """Sweep all paths from start, updating best in place; True if best hits n."""
-    path = [start]
-    visited = 1 << start
-    counters.spend(1)
-    if len(path) > len(best):
-        best[:] = path
-
-    def viable(head: int) -> list[int]:
-        rest = full & ~visited
-        reach_rest = _reachable(masks, head, rest) & rest
-        bound = min(
-            reach_rest.bit_count(),
-            _alternation_bound(dark_mask, reach_rest, bool(dark_mask >> head & 1)),
-        )
-        if len(path) + bound <= len(best):
-            return []
-        pending = list(_bits(masks[head] & ~visited))
-        pending.reverse()
-        return pending
-
-    stack = [viable(start)]
-    while stack:
-        pending = stack[-1]
-        if not pending:
-            stack.pop()
-            visited &= ~(1 << path.pop())
-            continue
-        nxt = pending.pop()
-        visited |= 1 << nxt
-        path.append(nxt)
-        counters.spend(len(path))
-        if len(path) > len(best):
-            best[:] = path.copy()
-            if len(best) == n:
-                return True
-        stack.append(viable(nxt))
-    return False
+    while candidates := _ordered_successors(masks, path[-1], visited, True, None):
+        visited |= 1 << candidates[0]
+        path.append(candidates[0])
+    return path

@@ -140,6 +140,16 @@ def test_longest_command(capsys):
     assert len(vertices) == 25
 
 
+def test_longest_rejects_nonpositive_budget(capsys):
+    for budget in ("0", "-4"):
+        code, out, err = invoke(
+            capsys, "longest", "--sides", "3,3,3", "--hole", "1,1,1", "--budget", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert "node_budget must be positive" in err
+
+
 def test_construct_and_verify_only(capsys):
     code, out, _ = invoke(capsys, "construct", "--k", "7")
     assert code == 0

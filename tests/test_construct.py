@@ -106,6 +106,23 @@ def test_hypercube_chain():
         assert tour.report().valid
 
 
+def test_hypercube_verifies_only_the_returned_tour(monkeypatch):
+    import eknight.tour
+
+    checked = []
+    verify = eknight.tour.verify
+
+    def counting_verify(board, vertices, *args, **kwargs):
+        checked.append(len(vertices))
+        return verify(board, vertices, *args, **kwargs)
+
+    monkeypatch.setattr(eknight.tour, "verify", counting_verify)
+    for k in (6, 7, 9):
+        checked.clear()
+        closed_tour_on_hypercube(k)
+        assert checked == [2 ** k]
+
+
 def test_hypercube_rejects_small_k():
     for k in (1, 5):
         with pytest.raises(ValueError, match=">= 6"):

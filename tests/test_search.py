@@ -1,3 +1,5 @@
+import hashlib
+import multiprocessing
 import random
 
 import pytest
@@ -93,6 +95,13 @@ def test_budget_semantics():
         SearchConfig(target=TourKind.CLOSED, node_budget=10_000),
     )
     assert outcome.status is SearchStatus.FOUND
+
+
+def test_longest_path_rejects_nonpositive_budget():
+    board = Board([3, 3, 3], holes=[(1, 1, 1)])
+    for budget in (0, -4):
+        with pytest.raises(ValueError, match="node_budget must be positive"):
+            longest_path(board, node_budget=budget)
 
 
 def test_longest_path_budget():
@@ -272,3 +281,48 @@ def test_longest_path_matches_oracle_best():
         outcome = longest_path(board)
         assert outcome.status is SearchStatus.FOUND
         assert outcome.max_depth_reached == brute_longest(board), board
+
+
+# (status, nodes_expanded, max_depth_reached, sha256 prefix of the tour text):
+# a change to the driver, the successor order or a prune rule shows up here
+PINNED_SEARCHES = {
+    "closed 5x6": (
+        lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED)),
+        ("found", 7536, 30, "5143bc80de82cbe2"),
+    ),
+    "closed 3x10": (
+        lambda: find_tour(Board([3, 10]), SearchConfig(target=TourKind.CLOSED)),
+        ("found", 4045, 30, "3c8efbe1a36b0344"),
+    ),
+    "closed 4x7 proof": (
+        lambda: prove_nonexistence(Board([4, 7]), TourKind.CLOSED),
+        ("exhausted_none", 20099, 26, None),
+    ),
+    "open 4x4 budget 300": (
+        # the budget runs out several start branches in
+        lambda: find_tour(Board([4, 4]), SearchConfig(target=TourKind.OPEN, node_budget=300)),
+        ("budget_exceeded", 301, 12, None),
+    ),
+    "longest 4x4": (
+        lambda: longest_path(Board([4, 4])),
+        ("found", 6966, 15, "645ed8b227c18774"),
+    ),
+    "longest holed 3^3 budget 500": (
+        lambda: longest_path(Board([3, 3, 3], holes=[(1, 1, 1)]), node_budget=500),
+        ("found", 26, 25, "7d958359b8c51fa9"),
+    ),
+    "closed 5x6 parallel 2": (
+        lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED, parallel_width=2)),
+        ("found", 7536, 30, "5143bc80de82cbe2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SEARCHES)
+def test_search_trees_are_pinned(name):
+    run, expected = PINNED_SEARCHES[name]
+    outcome = run()
+    tour = outcome.tour and hashlib.sha256(outcome.tour.serialized().encode()).hexdigest()[:16]
+    got = (outcome.status.value, outcome.nodes_expanded, outcome.max_depth_reached, tour)
+    assert got == expected
+    assert not multiprocessing.active_children()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpus
 from .board import Board, format_vertex, parse_board_text, parse_vertex
-from .construct import closed_tour_on_hypercube
+from .construct import _hypercube_tour, closed_tour_on_hypercube
 from .feasibility import (
     FeasibilityVerdict,
     classical_closed_tour_condition,
@@ -193,11 +193,14 @@ def _cmd_longest(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     masks = [parse_vertex(m) for m in args.mask] or None
-    tour = closed_tour_on_hypercube(args.k, masks)
     if args.verify_only:
+        # this report is the one verification: closed_tour_on_hypercube
+        # would verify the tour once more before it is reported
+        tour = _hypercube_tour(args.k, masks)
         report = tour.report()
         _emit(args, _report_payload(tour.kind, report), _report_lines(tour.kind, report))
         return 0 if report.valid else 1
+    tour = closed_tour_on_hypercube(args.k, masks)
     if args.format == "json":
         payload = {
             "k": args.k,

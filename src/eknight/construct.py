@@ -93,6 +93,11 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
     len(masks) == k - 6).  Only the returned tour is verified: the
     intermediate levels are plain vertex sequences.
     """
+    return _verified(_hypercube_tour(k, masks))
+
+
+def _hypercube_tour(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:
+    """The tour closed_tour_on_hypercube returns, before it is verified."""
     if k < 6:
         raise ValueError(
             f"no knight's tour exists on a 2 x 2 x ... x 2 board of dimension {k}; k must be >= 6"
@@ -103,4 +108,4 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
     for level in range(k - 6):
         mask = DEFAULT_FLIP_MASK if masks is None else masks[level]
         vertices = _double(vertices, _validate_mask(mask, 6 + level))
-    return _verified(Tour(Board([2] * k), TourKind.CLOSED, vertices))
+    return Tour(Board([2] * k), TourKind.CLOSED, vertices)

@@ -17,14 +17,23 @@ Pruning only cuts branches that provably cannot finish:
   * some unvisited vertex is unreachable from the path head,
   * too many unvisited vertices are down to <= 1 usable connection
     (an open tour tolerates one such vertex, the final one; a closed tour
-    tolerates none), or
+    tolerates none),
   * the dark/light split of the unvisited vertices cannot alternate long
-    enough to cover them all (every knight move switches color).
+    enough to cover them all (every knight move switches color), or
+  * a closed tour's start has no unvisited neighbour left, so the last
+    vertex cannot close the cycle.
 
 An exhausted search is therefore a nonexistence proof.  Closed-tour searches
 fix the start vertex and keep only the traversal direction whose second
 vertex is lexicographically smaller than its last, which halves the cycle
 space without losing any cycle.
+
+The reachability and degree checks are incremental.  A step from head p to
+head h takes only p out of the graph, so a node whose parent passed its
+checks re-examines only p's unvisited neighbours (their degrees, and whether
+h still reaches them all) and carries the parent's weak cells forward.  The
+verdicts equal those of a full rescan, which the root and a branch's forced
+first move still make.
 """
 
 from __future__ import annotations
@@ -122,38 +131,65 @@ def _prunable(
     visited: int,
     head: int,
     start: int | None,
-) -> bool:
-    """True if no completion can exist below this node (sound, never lossy).
+    parent: tuple[int, int] | None,
+) -> int | None:
+    """None if no completion can exist below this node (sound, never lossy).
 
-    start is the cycle anchor for closed targets, None for open targets.
+    Otherwise the node's weak mask: the unvisited cells down to one usable
+    neighbour.  start is the cycle anchor for closed targets, None for open
+    targets.  parent is (previous head, its weak mask) when the previous node
+    passed this check, else None.  With a parent only the cells next to the
+    previous head are examined again; without one every unvisited cell is.
+    Both give the same verdict and the same weak mask.
     """
     rest = full & ~visited
     if rest == 0:
-        return False
+        return 0
     head_dark = bool(dark_mask >> head & 1)
     if start is None:
         if _alternation_bound(dark_mask, rest, head_dark) < rest.bit_count():
-            return True
+            return None
     else:
+        # the last vertex comes from rest and must close onto start
+        if not masks[start] & rest:
+            return None
         cells = rest | (1 << start)
         if _alternation_bound(dark_mask, cells, head_dark) < rest.bit_count() + 1:
-            return True
-    reach = _reachable(masks, head, rest)
-    if (reach & rest) != rest:
-        return True
+            return None
+    if parent is None:
+        scan = rest
+        weak = 0
+    else:
+        # Stepping from p to head takes p out of the usable cells (unless p
+        # is the closed-tour start), so only p's neighbours can lose degree.
+        # p reached all of rest | head, so each component of rest | head
+        # holds a neighbour of p: it is connected once head reaches them all.
+        p, weak = parent
+        scan = masks[p] & rest
+        weak &= rest
+    # breadth-first from head inside rest, until it has reached all of scan
+    unseen = rest
+    frontier = 1 << head
+    while scan & unseen:
+        grow = 0
+        for i in _bits(frontier):
+            grow |= masks[i]
+        frontier = grow & unseen
+        if not frontier:
+            return None
+        unseen ^= frontier
     anchor = rest | (1 << head)
     if start is not None:
         anchor |= 1 << start
-    weak = 0
-    for u in _bits(rest):
+    for u in _bits(scan):
         degree = (masks[u] & anchor).bit_count()
         if degree < 2:
             if start is not None or degree == 0:
-                return True
-            weak += 1
-            if weak > 1:
-                return True
-    return False
+                return None
+            weak |= 1 << u
+            if weak & (weak - 1):
+                return None
+    return weak
 
 
 def _ordered_successors(
@@ -222,9 +258,17 @@ def _search_branch(
     start, first = branch
     anchor = start if closed else None
 
+    # depth -> (head, weak mask) of the path node at that depth that passed
+    # _prunable; a child reads its parent's entry.  A forced first move skips
+    # the root's check, so depth 1 then has no entry and its child scans fully.
+    checked: dict[int, tuple[int, int]] = {}
+
     def expand(head: int, visited: int) -> list[int]:
-        if _prunable(masks, full, dark_mask, visited, head, anchor):
+        depth = visited.bit_count()
+        weak = _prunable(masks, full, dark_mask, visited, head, anchor, checked.get(depth - 1))
+        if weak is None:
             return []
+        checked[depth] = head, weak
         return _ordered_successors(masks, head, visited, use_warnsdorff, rng)
 
     def accept(path: list[int]) -> bool:

@@ -163,6 +163,28 @@ def test_construct_and_verify_only(capsys):
     assert "valid: yes" in out
 
 
+def test_construct_verifies_once(capsys, monkeypatch):
+    import eknight.tour
+
+    checked = []
+    verify = eknight.tour.verify
+
+    def counting_verify(board, vertices, *args, **kwargs):
+        checked.append(len(vertices))
+        return verify(board, vertices, *args, **kwargs)
+
+    monkeypatch.setattr(eknight.tour, "verify", counting_verify)
+    for argv in (
+        ["construct", "--k", "10", "--verify-only"],
+        ["--format", "json", "construct", "--k", "10", "--verify-only"],
+        ["construct", "--k", "10"],
+    ):
+        checked.clear()
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert checked == [1024]
+
+
 def test_construct_deterministic_byte_identical(capsys):
     code1, out1, _ = invoke(capsys, "construct", "--k", "8")
     code2, out2, _ = invoke(capsys, "construct", "--k", "8")

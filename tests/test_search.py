@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from eknight.board import Board
+import eknight.search
+from eknight.board import Board, _bits
 from eknight.search import (
     SearchConfig,
     SearchStatus,
@@ -12,7 +13,7 @@ from eknight.search import (
     longest_path,
     prove_nonexistence,
 )
-from eknight.tour import TourKind
+from eknight.tour import MoveKind, TourKind, classify_move
 
 from bruteforce import random_board, tour_exists, tour_exists_permutations
 
@@ -224,6 +225,67 @@ def test_oracle_agreement_on_random_boards():
                 assert (plain.status is SearchStatus.FOUND) == expected
 
 
+def test_oracle_agreement_without_precheck():
+    # the DFS prune rules alone decide here, the closed-tour anchor rule included
+    rng = random.Random(31415)
+    for i in range(80):
+        board = random_board(rng)
+        for target in (TourKind.OPEN, TourKind.CLOSED):
+            outcome = find_tour(
+                board, SearchConfig(target=target, use_feasibility_precheck=False)
+            )
+            assert (outcome.status is SearchStatus.FOUND) == tour_exists(board, target), (
+                i, board, target,
+            )
+
+
+def test_incremental_prune_matches_full_scan(monkeypatch):
+    # every node checked against its parent gets the full scan's verdict and
+    # weak mask too, in whole searches and in forced-first closed branches
+    prunable = eknight.search._prunable
+    compared = []
+
+    def both(masks, full, dark_mask, visited, head, start, parent):
+        got = prunable(masks, full, dark_mask, visited, head, start, parent)
+        if parent is not None:
+            assert got == prunable(masks, full, dark_mask, visited, head, start, None)
+            compared.append(start is None)
+        return got
+
+    monkeypatch.setattr(eknight.search, "_prunable", both)
+    rng = random.Random(2718)
+    boards = [random_board(rng, max_vertices=16) for _ in range(60)]
+    boards += [Board([5, 6]), Board([4, 7]), Board([3, 3, 3], holes=[(1, 1, 1)])]
+    for board in boards:
+        for target in (TourKind.OPEN, TourKind.CLOSED):
+            find_tour(board, SearchConfig(target=target, use_feasibility_precheck=False))
+    assert compared.count(True) > 1000 and compared.count(False) > 1000
+    compared.clear()
+    for board in boards:
+        # the closed branches a parallel search hands its workers, run in-process
+        _, masks, full = board._index_graph()
+        run = (masks, full, board._dark_mask(), board.vertex_count, True, True)
+        start = next(_bits(full))
+        for first in _bits(masks[start]):
+            counters = eknight.search._Counters(None)
+            eknight.search._search_branch(run, None, counters, (start, first))
+    assert len(compared) > 1000
+
+
+@pytest.mark.parametrize(
+    "k, nodes, diagonal5, l_moves", [(6, 729, 254, 474), (7, 2187, 985, 1201)]
+)
+def test_open_tours_on_larger_three_cubes(k, nodes, diagonal5, l_moves):
+    outcome = find_tour(Board([3] * k), SearchConfig(target=TourKind.OPEN))
+    assert outcome.status is SearchStatus.FOUND
+    assert outcome.nodes_expanded == nodes
+    assert outcome.tour.report().valid
+    vertices = outcome.tour.vertices
+    kinds = [classify_move(a, b) for a, b in zip(vertices, vertices[1:])]
+    assert kinds.count(MoveKind.DIAGONAL5) == diagonal5
+    assert kinds.count(MoveKind.L_MOVE) == l_moves
+
+
 def test_infeasible_verdicts_are_sound():
     # every infeasible verdict must be confirmed by a genuine exhaustive search
     from eknight.feasibility import closed_tour_necessary, open_tour_necessary
@@ -288,15 +350,15 @@ def test_longest_path_matches_oracle_best():
 PINNED_SEARCHES = {
     "closed 5x6": (
         lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED)),
-        ("found", 7536, 30, "5143bc80de82cbe2"),
+        ("found", 1459, 30, "5143bc80de82cbe2"),
     ),
     "closed 3x10": (
         lambda: find_tour(Board([3, 10]), SearchConfig(target=TourKind.CLOSED)),
-        ("found", 4045, 30, "3c8efbe1a36b0344"),
+        ("found", 1536, 30, "3c8efbe1a36b0344"),
     ),
     "closed 4x7 proof": (
         lambda: prove_nonexistence(Board([4, 7]), TourKind.CLOSED),
-        ("exhausted_none", 20099, 26, None),
+        ("exhausted_none", 4800, 20, None),
     ),
     "open 4x4 budget 300": (
         # the budget runs out several start branches in
@@ -313,7 +375,7 @@ PINNED_SEARCHES = {
     ),
     "closed 5x6 parallel 2": (
         lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED, parallel_width=2)),
-        ("found", 7536, 30, "5143bc80de82cbe2"),
+        ("found", 1459, 30, "5143bc80de82cbe2"),
     ),
 }
 

@@ -23,6 +23,8 @@ Vertex = tuple[int, ...]
 
 KNIGHT_SQUARED_LENGTH = 5
 
+_MAX_CELLS = 2**22  # larger boxes are refused before any walk over their cells
+
 
 def squared_distance(a: Vertex, b: Vertex) -> int:
     """Squared Euclidean distance between two same-dimension vertices."""
@@ -209,7 +211,15 @@ class Board:
         return tuple(coords)
 
     def _cells(self) -> Iterator[Vertex]:
-        """Every cell of the box, holes included, in index order."""
+        """Every cell of the box, holes included, in index order.
+
+        Every walk over the board's cells starts here, so huge boxes fail here.
+        """
+        if self._box_size > _MAX_CELLS:
+            raise ValueError(
+                f"the {format_sides(self.sides)} box has {self._box_size} cells, "
+                f"more than the {_MAX_CELLS} this program enumerates"
+            )
         return itertools.product(*(range(s) for s in self.sides))
 
     def vertices(self) -> Iterator[Vertex]:
@@ -292,6 +302,7 @@ class Board:
         graph = self._cache.get("index_graph")
         if graph is not None:
             return graph
+        cells = self._cells()  # refuses huge boxes before the allocations below
 
         def steps(size: int) -> list[list[tuple[int, ...]]]:
             """[axis][coordinate] -> index deltas of the in-box +-size steps."""
@@ -304,7 +315,7 @@ class Board:
         holes = {self.index(h) for h in self.holes}
         nbrs: list[tuple[int, ...]] = [()] * self._box_size
         masks = [0] * self._box_size
-        for i, cell in enumerate(self._cells()):
+        for i, cell in enumerate(cells):
             if i in holes:
                 continue
             unit = [ones[a][c] for a, c in enumerate(cell)]

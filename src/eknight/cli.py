@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .board import Board, format_vertex, parse_board_text, parse_vertex
+from .board import Board, format_sides, format_vertex, parse_board_text, parse_vertex
 from .construct import _hypercube_tour, closed_tour_on_hypercube
 from .feasibility import (
     FeasibilityVerdict,
@@ -135,7 +135,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "degree_histogram": {str(k): v for k, v in histogram.items()},
     }
     lines = [
-        f"board: {' x '.join(str(s) for s in board.sides)}"
+        f"board: {format_sides(board.sides)}"
         + (f" minus {len(board.holes)} hole(s)" if board.holes else ""),
         f"vertices: {board.vertex_count}",
         f"dark/light: {dark}/{light}",

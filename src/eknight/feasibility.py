@@ -9,6 +9,7 @@ merely passes the necessary conditions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -53,9 +54,9 @@ def move_decompositions(k: int) -> set[tuple[int, ...]]:
             if len(acc) <= k:
                 found.add(acc)
             return
-        part = min(max_part, int(remaining ** 0.5))
+        part = min(max_part, math.isqrt(remaining))
         while part >= 1:
-            if part * part <= remaining and len(acc) < k:
+            if len(acc) < k:
                 extend(remaining - part * part, part, acc + (part,))
             part -= 1
 

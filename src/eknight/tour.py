@@ -9,16 +9,18 @@ A tour claims one of four kinds:
   path         legal walk with distinct vertices; no coverage requirement
                (used for partial reference chains).
 
-Verification is total: any dimension-consistent input yields a report, and
-the first violation is reported at the lowest index of the earliest failing
-check (membership, then link legality, then coverage, then closure).
+Verification is total and takes one pass: any dimension-consistent input
+yields a report whose violations are grouped by check, in the order
+membership, link legality, coverage, closure; the first is the report's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt, mul, sub
 
 from .board import (
     KNIGHT_SQUARED_LENGTH,
@@ -95,115 +97,88 @@ class Tour:
 
 def verify(
     board: Board,
-    vertices: list[Vertex] | tuple[Vertex, ...],
+    vertices: Iterable[Vertex],
     claimed: TourKind,
     all_violations: bool = False,
 ) -> VerificationReport:
-    """Check a vertex sequence against a board and a claimed kind.
+    """Check a vertex sequence against a board and a claimed kind in one pass.
 
-    Endpoint squared distance and the per-link taxicab histogram are always
-    computed, even for invalid sequences.
+    One walk checks each entry's dimension, membership, incoming link and
+    multiplicity, with one count table for every kind; the report order is
+    the module docstring's.  Endpoint squared distance and the per-link
+    taxicab histogram are always computed, even for invalid sequences.
     """
-    vertices = [tuple(v) for v in vertices]
-    if not vertices:
-        raise ValueError("a tour needs at least one vertex")
-    k = board.dimension
-    for v in vertices:
+    k, sides, holes = board.dimension, board.sides, board.holes
+    near = claimed is TourKind.NEAR_CLOSED
+    members: list[Violation] = []
+    links: list[Violation] = []
+    repeats: list[Violation] = []
+    taxicab_counts: Counter[int] = Counter()
+    counts: dict[Vertex, int] = {}
+    i = -1
+    for i, v in enumerate(map(tuple, vertices)):
         if len(v) != k:
             raise ValueError(f"vertex {v} has {len(v)} coordinates, board has {k}")
+        if min(v) < 0 or not all(map(lt, v, sides)):
+            members.append(Violation(i, f"vertex {format_vertex(v)} lies outside the board"))
+        elif v in holes:
+            members.append(Violation(i, f"vertex {format_vertex(v)} is a removed cell"))
+        if i:
+            d = list(map(sub, v, prev))
+            taxicab_counts[sum(map(abs, d))] += 1
+            sq = sum(map(mul, d, d))
+            if sq != KNIGHT_SQUARED_LENGTH:
+                links.append(Violation(i - 1, f"link {i - 1}: squared length {sq} (expected 5)"))
+        else:
+            first = v
+        prev = v
+        c = counts[v] = counts.get(v, 0) + 1
+        if c > 1 and not near:
+            repeats.append(Violation(i, f"vertex {format_vertex(v)} visited more than once"))
+        elif c == 2 and v == first:  # near_closed only from here
+            repeats.append(Violation(i, "start vertex revisited before the final return"))
+        elif c == 3:
+            repeats.append(Violation(i, f"vertex {format_vertex(v)} visited a third time"))
+    n = i + 1
+    if not n:
+        raise ValueError("a tour needs at least one vertex")
 
-    violations: list[Violation] = []
-    stopped = False
-
-    def add(index: int, description: str) -> None:
-        nonlocal stopped
-        if stopped:
-            return
-        violations.append(Violation(index, description))
-        if not all_violations:
-            stopped = True
-
-    # membership
-    for i, v in enumerate(vertices):
-        if not board.in_box(v):
-            add(i, f"vertex {format_vertex(v)} lies outside the board")
-        elif v in board.holes:
-            add(i, f"vertex {format_vertex(v)} is a removed cell")
-
-    # link legality (histogram over all explicit links regardless of validity)
-    taxicab_counts: Counter[int] = Counter()
-    for i in range(len(vertices) - 1):
-        a, b = vertices[i], vertices[i + 1]
-        taxicab_counts[taxicab_distance(a, b)] += 1
-        sq = squared_distance(a, b)
-        if sq != KNIGHT_SQUARED_LENGTH:
-            add(i, f"link {i}: squared length {sq} (expected 5)")
-
-    # coverage / multiplicity per claimed kind
-    if claimed is TourKind.NEAR_CLOSED:
-        _check_near_closed(board, vertices, add)
+    end, total = n - 1, board.vertex_count
+    endpoint = squared_distance(first, prev)
+    tail: list[Violation] = []  # coverage, then closure
+    if not near:
+        tail += repeats
+        if claimed is not TourKind.PATH and n != total:
+            tail.append(Violation(end, f"{n} entries for {total} board vertices"))
+    elif prev != first:
+        tail.append(Violation(end, "walk does not return to its start"))
     else:
-        seen: set[Vertex] = set()
-        for i, v in enumerate(vertices):
-            if v in seen:
-                add(i, f"vertex {format_vertex(v)} visited more than once")
-            seen.add(v)
-        if claimed is not TourKind.PATH and len(vertices) != board.vertex_count:
-            add(
-                len(vertices) - 1,
-                f"{len(vertices)} entries for {board.vertex_count} board vertices",
-            )
-
-    # closure
+        if n != total + 2:
+            message = f"{n} entries; a near-closed walk on {total} vertices needs {total + 2}"
+            tail.append(Violation(end, message))
+        # the final return to the start closes the walk; it is not a visit
+        tail += [r for r in repeats if r.index != end]
+        twice = sum(c == 2 for v, c in counts.items() if v != first)
+        if twice != 1:
+            tail.append(Violation(end, f"{twice} vertices visited twice (exactly one required)"))
+        covered = len(counts) if n > 1 else 0
+        if covered != total:
+            tail.append(Violation(end, f"covers {covered} of {total} board vertices"))
     if claimed is TourKind.CLOSED:
-        if len(vertices) < 3:
-            add(len(vertices) - 1, "a closed tour needs at least 3 vertices")
-        closing = squared_distance(vertices[-1], vertices[0])
-        if closing != KNIGHT_SQUARED_LENGTH:
-            add(len(vertices) - 1, f"closing link squared length {closing} (expected 5)")
+        if n < 3:
+            tail.append(Violation(end, "a closed tour needs at least 3 vertices"))
+        if endpoint != KNIGHT_SQUARED_LENGTH:
+            tail.append(Violation(end, f"closing link squared length {endpoint} (expected 5)"))
 
+    violations = members + links + tail
     return VerificationReport(
         valid=not violations,
-        violations=tuple(violations),
-        endpoint_squared_distance=squared_distance(vertices[0], vertices[-1]),
+        violations=tuple(violations if all_violations else violations[:1]),
+        endpoint_squared_distance=endpoint,
         move_taxicab_counts=dict(sorted(taxicab_counts.items())),
-        entry_count=len(vertices),
-        link_count=len(vertices) - 1,
+        entry_count=n,
+        link_count=end,
     )
-
-
-def _check_near_closed(board: Board, vertices: list[Vertex], add) -> None:
-    first = vertices[0]
-    if vertices[-1] != first:
-        add(len(vertices) - 1, "walk does not return to its start")
-        return
-    expected = board.vertex_count + 2
-    if len(vertices) != expected:
-        add(
-            len(vertices) - 1,
-            f"{len(vertices)} entries; a near-closed walk on "
-            f"{board.vertex_count} vertices needs {expected}",
-        )
-    # the final return to the start is the endpoint pairing, so count the body
-    body = vertices[:-1]
-    counts: dict[Vertex, int] = {}
-    for i, v in enumerate(body):
-        counts[v] = counts.get(v, 0) + 1
-        if v == first and counts[v] == 2:
-            add(i, "start vertex revisited before the final return")
-        elif counts[v] == 3:
-            add(i, f"vertex {format_vertex(v)} visited a third time")
-    doubled = sorted(v for v, c in counts.items() if c == 2 and v != first)
-    if len(doubled) != 1:
-        add(
-            len(vertices) - 1,
-            f"{len(doubled)} vertices visited twice (exactly one required)",
-        )
-    if len(counts) != board.vertex_count:
-        add(
-            len(vertices) - 1,
-            f"covers {len(counts)} of {board.vertex_count} board vertices",
-        )
 
 
 class TourParseError(ValueError):

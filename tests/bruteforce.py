@@ -2,6 +2,8 @@
 
 Everything here recomputes adjacency from raw coordinate arithmetic so a bug
 in the library's neighbor generation cannot fool the oracle.
+`reference_verify` is the earlier four-pass verifier, the oracle for the
+one-pass `tour.verify`.
 """
 
 from __future__ import annotations
@@ -9,9 +11,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
-from eknight.board import Board, Vertex
-from eknight.tour import TourKind
+from eknight.board import (
+    KNIGHT_SQUARED_LENGTH,
+    Board,
+    Vertex,
+    format_vertex,
+    squared_distance,
+    taxicab_distance,
+)
+from eknight.tour import TourKind, VerificationReport, Violation
 
 
 def sq5(a: Vertex, b: Vertex) -> bool:
@@ -115,3 +125,118 @@ def random_board(rng: random.Random, max_vertices: int = 12) -> Board:
         all_cells = list(itertools.product(*(range(s) for s in sides)))
         holes = rng.sample(all_cells, cells - target)
         return Board(sides, holes)
+
+
+def reference_verify(
+    board: Board,
+    vertices: list[Vertex] | tuple[Vertex, ...],
+    claimed: TourKind,
+    all_violations: bool = False,
+) -> VerificationReport:
+    """Four-pass verifier kept as an oracle for the one-pass `tour.verify`.
+
+    It walks the sequence once per check (membership, links, coverage,
+    closure) and near-closed coverage in a walk of its own, so a report it
+    agrees with has the same violations, in the same order, with the same
+    diagnostics.
+    """
+    vertices = [tuple(v) for v in vertices]
+    if not vertices:
+        raise ValueError("a tour needs at least one vertex")
+    k = board.dimension
+    for v in vertices:
+        if len(v) != k:
+            raise ValueError(f"vertex {v} has {len(v)} coordinates, board has {k}")
+
+    violations: list[Violation] = []
+    stopped = False
+
+    def add(index: int, description: str) -> None:
+        nonlocal stopped
+        if stopped:
+            return
+        violations.append(Violation(index, description))
+        if not all_violations:
+            stopped = True
+
+    # membership
+    for i, v in enumerate(vertices):
+        if not board.in_box(v):
+            add(i, f"vertex {format_vertex(v)} lies outside the board")
+        elif v in board.holes:
+            add(i, f"vertex {format_vertex(v)} is a removed cell")
+
+    # link legality (histogram over all explicit links regardless of validity)
+    taxicab_counts: Counter[int] = Counter()
+    for i in range(len(vertices) - 1):
+        a, b = vertices[i], vertices[i + 1]
+        taxicab_counts[taxicab_distance(a, b)] += 1
+        sq = squared_distance(a, b)
+        if sq != KNIGHT_SQUARED_LENGTH:
+            add(i, f"link {i}: squared length {sq} (expected 5)")
+
+    # coverage / multiplicity per claimed kind
+    if claimed is TourKind.NEAR_CLOSED:
+        _reference_check_near_closed(board, vertices, add)
+    else:
+        seen: set[Vertex] = set()
+        for i, v in enumerate(vertices):
+            if v in seen:
+                add(i, f"vertex {format_vertex(v)} visited more than once")
+            seen.add(v)
+        if claimed is not TourKind.PATH and len(vertices) != board.vertex_count:
+            add(
+                len(vertices) - 1,
+                f"{len(vertices)} entries for {board.vertex_count} board vertices",
+            )
+
+    # closure
+    if claimed is TourKind.CLOSED:
+        if len(vertices) < 3:
+            add(len(vertices) - 1, "a closed tour needs at least 3 vertices")
+        closing = squared_distance(vertices[-1], vertices[0])
+        if closing != KNIGHT_SQUARED_LENGTH:
+            add(len(vertices) - 1, f"closing link squared length {closing} (expected 5)")
+
+    return VerificationReport(
+        valid=not violations,
+        violations=tuple(violations),
+        endpoint_squared_distance=squared_distance(vertices[0], vertices[-1]),
+        move_taxicab_counts=dict(sorted(taxicab_counts.items())),
+        entry_count=len(vertices),
+        link_count=len(vertices) - 1,
+    )
+
+
+def _reference_check_near_closed(board: Board, vertices: list[Vertex], add) -> None:
+    first = vertices[0]
+    if vertices[-1] != first:
+        add(len(vertices) - 1, "walk does not return to its start")
+        return
+    expected = board.vertex_count + 2
+    if len(vertices) != expected:
+        add(
+            len(vertices) - 1,
+            f"{len(vertices)} entries; a near-closed walk on "
+            f"{board.vertex_count} vertices needs {expected}",
+        )
+    # the final return to the start is the endpoint pairing, so count the body
+    body = vertices[:-1]
+    counts: dict[Vertex, int] = {}
+    for i, v in enumerate(body):
+        counts[v] = counts.get(v, 0) + 1
+        if v == first and counts[v] == 2:
+            add(i, "start vertex revisited before the final return")
+        elif counts[v] == 3:
+            add(i, f"vertex {format_vertex(v)} visited a third time")
+    doubled = sorted(v for v, c in counts.items() if c == 2 and v != first)
+    if len(doubled) != 1:
+        add(
+            len(vertices) - 1,
+            f"{len(doubled)} vertices visited twice (exactly one required)",
+        )
+    if len(counts) != board.vertex_count:
+        add(
+            len(vertices) - 1,
+            f"covers {len(counts)} of {board.vertex_count} board vertices",
+        )

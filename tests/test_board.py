@@ -41,6 +41,15 @@ def test_board_rejects_bad_input():
         Board([3, 3], holes=[(1, 1, 1)])
 
 
+def test_graph_refuses_a_box_too_large_to_enumerate():
+    board = Board([1000] * 5)
+    assert board.vertex_count == 10**15
+    with pytest.raises(ValueError, match="1000000000000000 cells"):
+        board.degree_histogram()
+    with pytest.raises(ValueError, match="1000000000000000 cells"):
+        list(board.vertices())
+
+
 def test_vertices_lexicographic_and_skip_holes():
     board = Board([2, 3], holes=[(0, 1)])
     assert list(board.vertices()) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]

@@ -85,6 +85,13 @@ def test_analyze_board_file(capsys, tmp_path):
     assert "vertices: 8" in out
 
 
+def test_analyze_refuses_a_box_too_large_to_enumerate(capsys):
+    code, out, err = invoke(capsys, "analyze", "--sides", "1000,1000,1000,1000,1000")
+    assert code == 2
+    assert out == ""
+    assert "1000000000000000 cells" in err
+
+
 def test_search_emits_tour_file(capsys):
     code, out, err = invoke(
         capsys, "search", "--sides", "3,3", "--hole", "1,1", "--target", "closed"

@@ -33,6 +33,11 @@ def test_color_counts_odd_side_majority():
     assert dark == light + 1
 
 
+def test_color_counts_refuses_a_box_too_large_to_enumerate():
+    with pytest.raises(ValueError, match="1000000000000000 cells"):
+        color_counts(Board([1000] * 5))
+
+
 def test_move_decompositions():
     assert move_decompositions(1) == set()
     assert move_decompositions(2) == {(2, 1)}

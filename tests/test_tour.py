@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,8 @@ from eknight.tour import (
     serialize_tour,
     verify,
 )
+
+from bruteforce import reference_verify
 
 
 def test_classify_move_examples():
@@ -228,3 +232,65 @@ def test_verify_is_total_and_serialization_round_trips(case):
     if in_box:
         text = serialize_tour(board, kind, in_box)
         assert parse_tour(text) == (board, kind, in_box)
+
+
+def _outcome(check, board, vertices, kind, every):
+    """A report's repr (field and key order included), or the ValueError raised."""
+    try:
+        return repr(check(board, vertices, kind, all_violations=every))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(board, vertices, kind=None):
+    for claimed in TourKind if kind is None else (kind,):
+        for every in (False, True):
+            assert _outcome(verify, board, vertices, claimed, every) == _outcome(
+                reference_verify, board, vertices, claimed, every
+            ), (board, vertices, claimed, every)
+
+
+@st.composite
+def board_and_walk(draw):
+    """Small boards with holes and walks mixing board cells, strays and returns."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    sides = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(k))
+    cells = list(itertools.product(*(range(s) for s in sides)))
+    holes = draw(st.lists(st.sampled_from(cells), max_size=2))
+    stray = st.tuples(*[st.integers(min_value=-1, max_value=3)] * k)
+    vertices = draw(st.lists(st.one_of(st.sampled_from(cells), stray), max_size=10))
+    if vertices and draw(st.booleans()):
+        vertices.append(vertices[0])
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        wrong = (0,) * draw(st.sampled_from([k - 1, k + 1]))
+        vertices.insert(draw(st.integers(min_value=0, max_value=len(vertices))), wrong)
+    return Board(sides, holes), vertices, draw(st.sampled_from(list(TourKind)))
+
+
+@given(board_and_walk())
+@settings(max_examples=400)
+def test_verify_matches_four_pass_reference(case):
+    board, vertices, kind = case
+    _assert_matches_reference(board, vertices, kind)
+
+
+def test_verify_matches_reference_on_corpus_entries_and_damaged_copies():
+    for entry_id in corpus.ids():
+        entry = corpus.get(entry_id)
+        v = list(entry.vertices)
+        swapped = v[:1] + [v[2], v[1]] + v[3:]
+        repeated = v[:5] + [v[5]] + v[5:]
+        stray = v[:3] + [entry.board.sides] + v[4:]
+        for vertices in (v, v[:-1], v + [v[0]], v[:1], swapped, repeated, stray):
+            _assert_matches_reference(entry.board, vertices)
+
+
+def test_single_entry_near_closed_covers_an_empty_body():
+    board = Board([3, 3])
+    report = verify(board, [(0, 0)], TourKind.NEAR_CLOSED, all_violations=True)
+    assert [v.description for v in report.violations] == [
+        "1 entries; a near-closed walk on 9 vertices needs 11",
+        "0 vertices visited twice (exactly one required)",
+        "covers 0 of 9 board vertices",
+    ]
+    _assert_matches_reference(board, [(0, 0)])

@@ -10,7 +10,6 @@ from . import corpus
 from .board import (
     KNIGHT_SQUARED_LENGTH,
     Board,
-    Move,
     Vertex,
     is_knight_move,
     parse_board_text,
@@ -64,7 +63,6 @@ __all__ = [
     "DEFAULT_FLIP_MASK",
     "FeasibilityVerdict",
     "KNIGHT_SQUARED_LENGTH",
-    "Move",
     "MoveKind",
     "SearchConfig",
     "SearchOutcome",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 Vertex = tuple[int, ...]
 
@@ -45,26 +44,6 @@ def is_knight_move(a: Vertex, b: Vertex) -> bool:
     return squared_distance(a, b) == KNIGHT_SQUARED_LENGTH
 
 
-@dataclass(frozen=True)
-class Move:
-    """An ordered vertex pair with its derived lengths."""
-
-    source: Vertex
-    target: Vertex
-
-    @property
-    def squared_length(self) -> int:
-        return squared_distance(self.source, self.target)
-
-    @property
-    def taxicab_length(self) -> int:
-        return taxicab_distance(self.source, self.target)
-
-    @property
-    def is_knight_move(self) -> bool:
-        return self.squared_length == KNIGHT_SQUARED_LENGTH
-
-
 def format_sides(sides: Iterable[int]) -> str:
     return " x ".join(str(s) for s in sides)
 
@@ -73,15 +52,17 @@ def format_vertex(v: Vertex) -> str:
     return ",".join(str(c) for c in v)
 
 
+def _parse_ints(text: str, separator: str, what: str) -> tuple[int, ...]:
+    """The separator-delimited integers of text; an empty part is malformed."""
+    try:
+        return tuple(int(p.strip()) for p in text.split(separator))
+    except ValueError:
+        raise ValueError(f"malformed {what} {text!r}") from None
+
+
 def parse_sides(text: str) -> tuple[int, ...]:
     """Parse a 'n1 x n2 x ... x nk' side list."""
-    parts = [p.strip() for p in text.split("x")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"malformed side list {text!r}")
-    try:
-        sides = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"malformed side list {text!r}") from None
+    sides = _parse_ints(text, "x", "side list")
     if any(s < 1 for s in sides):
         raise ValueError(f"sides must be >= 1, got {sides}")
     return sides
@@ -89,13 +70,7 @@ def parse_sides(text: str) -> tuple[int, ...]:
 
 def parse_vertex(text: str) -> Vertex:
     """Parse a 'c1,c2,...,ck' coordinate list."""
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"malformed coordinate list {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"malformed coordinate list {text!r}") from None
+    return _parse_ints(text, ",", "coordinate list")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -106,18 +81,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _spread(masks: list[int], frontier: int) -> int:
+    """Union of the neighbour masks of the frontier's cells; one BFS level."""
+    grow = 0
+    for i in _bits(frontier):
+        grow |= masks[i]
+    return grow
+
+
 def _reachable(masks: list[int], origin: int, allowed: int) -> int:
     """Bitmask of vertices reachable from origin inside allowed | {origin}."""
-    reach = 1 << origin
+    reach = frontier = 1 << origin
     allowed |= reach
-    frontier = reach
     while frontier:
-        grow = 0
-        for i in _bits(frontier):
-            grow |= masks[i]
-        grow &= allowed & ~reach
-        reach |= grow
-        frontier = grow
+        frontier = _spread(masks, frontier) & allowed & ~reach
+        reach |= frontier
     return reach
 
 
@@ -269,9 +247,7 @@ class Board:
         jumps = 0
         while frontier:
             jumps += 1
-            grow = 0
-            for i in _bits(frontier):
-                grow |= masks[i]
+            grow = _spread(masks, frontier)
             if grow & target:
                 return jumps
             frontier = grow & ~seen

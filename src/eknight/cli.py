@@ -29,7 +29,6 @@ from .search import SearchConfig, SearchOutcome, SearchStatus, find_tour, longes
 from .tour import (
     Tour,
     TourKind,
-    TourParseError,
     VerificationReport,
     classify_move,
     parse_tour,
@@ -406,9 +405,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except TourParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

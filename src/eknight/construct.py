@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 from . import corpus
 from .board import Board, Vertex
-from .tour import Tour, TourKind
+from .tour import Tour, TourKind, _checked
 
 DEFAULT_FLIP_MASK: tuple[int, ...] = (0, 1, 2, 3)
 
@@ -50,15 +50,6 @@ def _double(vertices: tuple[Vertex, ...], axes: tuple[int, ...]) -> tuple[Vertex
     return tuple([v + (0,) for v in vertices] + mirrored)
 
 
-def _verified(tour: Tour) -> Tour:
-    out = tour.report()
-    if not out.valid:
-        raise RuntimeError(
-            f"internal error: extension broke at {out.first_violation.description}"
-        )
-    return tour
-
-
 def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
     """Extend a closed tour on the k-cube to a closed tour on the (k+1)-cube.
 
@@ -82,7 +73,7 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
         )
     axes = _validate_mask(DEFAULT_FLIP_MASK if mask is None else mask, k)
     vertices = _double(base.vertices, axes)
-    return _verified(Tour(Board([2] * (k + 1)), TourKind.CLOSED, vertices))
+    return _checked(Tour(Board([2] * (k + 1)), TourKind.CLOSED, vertices))
 
 
 def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:
@@ -93,7 +84,7 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
     len(masks) == k - 6).  Only the returned tour is verified: the
     intermediate levels are plain vertex sequences.
     """
-    return _verified(_hypercube_tour(k, masks))
+    return _checked(_hypercube_tour(k, masks))
 
 
 def _hypercube_tour(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:

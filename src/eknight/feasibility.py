@@ -93,13 +93,11 @@ def closed_tour_necessary(board: Board) -> FeasibilityVerdict:
     dark, light = color_counts(board)
     if dark != light:
         reasons.append(f"dark/light imbalance ({dark} dark, {light} light)")
-    if n >= 1 and not board.is_connected():
+    if not board.is_connected():
         reasons.append("disconnected")
-    hist = board.degree_histogram()
-    if hist:
-        min_degree = min(hist)
-        if min_degree < 2:
-            reasons.append(f"min degree {min_degree} < 2")
+    min_degree = min(board.degree_histogram())
+    if min_degree < 2:
+        reasons.append(f"min degree {min_degree} < 2")
     if n < 3:
         reasons.append(f"fewer than 3 vertices ({n})")
     return _verdict(reasons)
@@ -118,7 +116,7 @@ def open_tour_necessary(board: Board) -> FeasibilityVerdict:
     elif dark != light and n > 1:
         majority = "dark" if dark > light else "light"
         notes.append(f"both endpoints must be {majority} (majority color)")
-    if n >= 1 and not board.is_connected():
+    if not board.is_connected():
         reasons.append("disconnected")
     degree_one = board.degree_histogram().get(1, 0)
     if degree_one > 2:

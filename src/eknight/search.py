@@ -8,9 +8,10 @@ search and the exact longest path differ only in the two callbacks they hand
 it: which successors to try below a head, and what a new path means.
 
 Tour search splits its work into root branches (a start vertex, optionally
-with a forced first move).  Branches run in-process or on a worker pool, each
-yields (status, path, nodes, depth), and `find_tour` folds those results in
-one loop.
+with a fixed first move that its root's expand returns alone).  Branches run
+in-process or on a worker pool, each yields (status, path, nodes, depth), and
+`find_tour` folds those results in one loop.  Every tour and longest path
+leaves through `tour._checked`, the verifier.
 
 Pruning only cuts branches that provably cannot finish:
 
@@ -32,8 +33,7 @@ The reachability and degree checks are incremental.  A step from head p to
 head h takes only p out of the graph, so a node whose parent passed its
 checks re-examines only p's unvisited neighbours (their degrees, and whether
 h still reaches them all) and carries the parent's weak cells forward.  The
-verdicts equal those of a full rescan, which the root and a branch's forced
-first move still make.
+verdicts equal those of a full rescan, which only the root makes.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .board import Board, Vertex, _bits, _reachable
+from .board import Board, Vertex, _bits, _reachable, _spread
 from .feasibility import closed_tour_necessary, open_tour_necessary
-from .tour import Tour, TourKind
+from .tour import Tour, TourKind, _checked
 
 
 class SearchStatus(Enum):
@@ -171,10 +171,7 @@ def _prunable(
     unseen = rest
     frontier = 1 << head
     while scan & unseen:
-        grow = 0
-        for i in _bits(frontier):
-            grow |= masks[i]
-        frontier = grow & unseen
+        frontier = _spread(masks, frontier) & unseen
         if not frontier:
             return None
         unseen ^= frontier
@@ -204,7 +201,7 @@ def _ordered_successors(
         rng.shuffle(candidates)
     if use_warnsdorff:
         rest = ~visited
-        candidates.sort(key=lambda s: (masks[s] & rest & ~(1 << s)).bit_count())
+        candidates.sort(key=lambda s: (masks[s] & rest).bit_count())
     return candidates
 
 
@@ -213,21 +210,20 @@ def _dfs(
     expand: Callable[[int, int], list[int]],
     accept: Callable[[list[int]], bool],
     counters: _Counters,
-    first: int | None = None,
 ) -> list[int] | None:
     """Depth-first walk of the simple paths from start; the one search loop.
 
     expand(head, visited) lists the successors to try in order ([] cuts the
-    branch); accept(path) runs after every push, the root included, and True
-    stops the walk with that path.  first, when given, is the only move tried
-    from start.  Every push is charged to counters.
+    branch) and is called for every node, the root included; accept(path)
+    runs after every push, and True stops the walk with that path.  Every
+    push is charged to counters.
     """
     path = [start]
     visited = 1 << start
     counters.spend(1)
     if accept(path):
         return path
-    stack = [iter([first] if first is not None else expand(start, visited))]
+    stack = [iter(expand(start, visited))]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
@@ -259,8 +255,7 @@ def _search_branch(
     anchor = start if closed else None
 
     # depth -> (head, weak mask) of the path node at that depth that passed
-    # _prunable; a child reads its parent's entry.  A forced first move skips
-    # the root's check, so depth 1 then has no entry and its child scans fully.
+    # _prunable; a child reads its parent's entry
     checked: dict[int, tuple[int, int]] = {}
 
     def expand(head: int, visited: int) -> list[int]:
@@ -269,6 +264,8 @@ def _search_branch(
         if weak is None:
             return []
         checked[depth] = head, weak
+        if depth == 1 and first is not None:
+            return [first]
         return _ordered_successors(masks, head, visited, use_warnsdorff, rng)
 
     def accept(path: list[int]) -> bool:
@@ -279,7 +276,7 @@ def _search_branch(
 
     spent = counters.nodes
     try:
-        path = _dfs(start, expand, accept, counters, first)
+        path = _dfs(start, expand, accept, counters)
     except _BudgetExceeded:
         status, path = SearchStatus.BUDGET_EXCEEDED, None
     else:
@@ -400,15 +397,8 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     if path is None:
         status = SearchStatus.BUDGET_EXCEEDED if budget_hit else SearchStatus.EXHAUSTED_NONE
         return SearchOutcome(status, None, nodes, max_depth)
-    vertices = tuple(board.vertex_at(i) for i in path)
-    tour = Tour(board, config.target, vertices)
-    report = tour.report()
-    if not report.valid:
-        raise RuntimeError(
-            f"internal error: search produced an invalid tour "
-            f"({report.first_violation.description})"
-        )
-    return SearchOutcome(SearchStatus.FOUND, tour, nodes, max_depth)
+    tour = Tour(board, config.target, tuple(board.vertex_at(i) for i in path))
+    return SearchOutcome(SearchStatus.FOUND, _checked(tour), nodes, max_depth)
 
 
 def prove_nonexistence(
@@ -482,12 +472,8 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
         except _BudgetExceeded:
             status = SearchStatus.BUDGET_EXCEEDED
 
-    vertices = tuple(board.vertex_at(i) for i in best)
-    tour = Tour(board, TourKind.PATH, vertices)
-    report = tour.report()
-    if not report.valid:
-        raise RuntimeError("internal error: longest_path produced an illegal path")
-    return SearchOutcome(status, tour, counters.nodes, len(best))
+    tour = Tour(board, TourKind.PATH, tuple(board.vertex_at(i) for i in best))
+    return SearchOutcome(status, _checked(tour), counters.nodes, len(best))
 
 
 def _greedy_walk(masks: list[int], start: int) -> list[int]:

@@ -27,11 +27,11 @@ from .board import (
     Board,
     Vertex,
     _parse_hole,
-    format_sides,
     format_vertex,
     is_knight_move,
     parse_sides,
     parse_vertex,
+    serialize_board_text,
     squared_distance,
     taxicab_distance,
 )
@@ -93,6 +93,21 @@ class Tour:
 
     def serialized(self) -> str:
         return serialize_tour(self.board, self.kind, self.vertices)
+
+
+def _checked(tour: Tour) -> Tour:
+    """tour, once it verifies; every tour the package returns leaves here.
+
+    A result that fails verification is a bug in the code that built it, so
+    it raises RuntimeError rather than reaching the caller.
+    """
+    report = tour.report()
+    if not report.valid:
+        raise RuntimeError(
+            f"internal error: invalid {tour.kind.value} result "
+            f"({report.first_violation.description})"
+        )
+    return tour
 
 
 def verify(
@@ -245,8 +260,6 @@ def serialize_tour(
     board: Board, kind: TourKind, vertices: list[Vertex] | tuple[Vertex, ...]
 ) -> str:
     """Canonical tour file text; deterministic, never verifies."""
-    lines = [f"board: {format_sides(board.sides)}"]
-    lines.extend(f"hole: {format_vertex(h)}" for h in sorted(board.holes))
-    lines.append(f"kind: {kind.value}")
+    lines = [f"board: {serialize_board_text(board)}kind: {kind.value}"]
     lines.extend(format_vertex(v) for v in vertices)
     return "\n".join(lines) + "\n"

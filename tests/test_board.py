@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from eknight.board import (
     Board,
-    Move,
     is_knight_move,
     parse_board_text,
     parse_sides,
@@ -223,12 +222,12 @@ def test_move_changes_match_decompositions():
                 assert changes in allowed
 
 
-def test_move_dataclass():
-    move = Move((1, 0, 2, 0, 1), (2, 0, 2, 2, 1))
-    assert move.squared_length == 5
-    assert move.taxicab_length == 3
-    assert move.is_knight_move
-    assert not Move((0, 0), (1, 1)).is_knight_move
+def test_move_lengths():
+    source, target = (1, 0, 2, 0, 1), (2, 0, 2, 2, 1)
+    assert squared_distance(source, target) == 5
+    assert taxicab_distance(source, target) == 3
+    assert is_knight_move(source, target)
+    assert not is_knight_move((0, 0), (1, 1))
 
 
 def test_contains_and_require():

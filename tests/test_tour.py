@@ -1,15 +1,22 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eknight import corpus
+import eknight.tour
 from eknight.board import Board
+from eknight.construct import closed_tour_on_hypercube, extend_closed_tour
 from eknight.feasibility import color
+from eknight.search import SearchConfig, find_tour, longest_path
 from eknight.tour import (
     MoveKind,
+    Tour,
     TourKind,
     TourParseError,
+    Violation,
+    _checked,
     classify_move,
     parse_tour,
     serialize_tour,
@@ -208,6 +215,36 @@ def test_tour_dataclass_helpers():
     assert tour.link_count == 7
     assert tour.report().valid
     assert parse_tour(tour.serialized())[2] == list(tour.vertices)
+
+
+def test_every_result_leaves_through_the_verifier(monkeypatch):
+    base = corpus.get(corpus.PC_2_6).tour()
+    assert _checked(base) is base
+    short = Tour(base.board, TourKind.CLOSED, base.vertices[:-1])
+    with pytest.raises(RuntimeError, match=r"^internal error: .*63 entries for 64"):
+        _checked(short)
+
+    # a planted failure on the result's board only: the base tour that
+    # extend_closed_tour checks on its way in still verifies
+    real_verify = eknight.tour.verify
+    producers = [
+        (Board([3, 4]), lambda board: find_tour(board, SearchConfig())),
+        (Board([6, 6]), lambda board: find_tour(board, SearchConfig(target=TourKind.CLOSED))),
+        (Board([3, 3]), longest_path),
+        (Board([2] * 7), lambda board: closed_tour_on_hypercube(7)),
+        (Board([2] * 7), lambda board: extend_closed_tour(base)),
+    ]
+    for result_board, produce in producers:
+
+        def planted(board, vertices, *args, result_board=result_board, **kwargs):
+            report = real_verify(board, vertices, *args, **kwargs)
+            if board != result_board:
+                return report
+            return dataclasses.replace(report, valid=False, violations=(Violation(0, "planted"),))
+
+        monkeypatch.setattr(eknight.tour, "verify", planted)
+        with pytest.raises(RuntimeError, match=r"^internal error: .*planted"):
+            produce(result_board)
 
 
 @st.composite

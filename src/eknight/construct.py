@@ -66,6 +66,8 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
         raise ValueError(f"no closed tour exists on a {k}-cube; the base needs k >= 6")
     if base.kind is not TourKind.CLOSED:
         raise ValueError(f"base tour must be closed, not {base.kind.value}")
+    result = Board([2] * (k + 1))
+    result._cells()  # refuses a cube too large to enumerate before doubling
     report = base.report()
     if not report.valid:
         raise ValueError(
@@ -73,7 +75,7 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
         )
     axes = _validate_mask(DEFAULT_FLIP_MASK if mask is None else mask, k)
     vertices = _double(base.vertices, axes)
-    return _checked(Tour(Board([2] * (k + 1)), TourKind.CLOSED, vertices))
+    return _checked(Tour(result, TourKind.CLOSED, vertices))
 
 
 def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:
@@ -95,8 +97,10 @@ def _hypercube_tour(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tou
         )
     if masks is not None and len(masks) != k - 6:
         raise ValueError(f"need {k - 6} masks to reach dimension {k}, got {len(masks)}")
+    board = Board([2] * k)
+    board._cells()  # refuses a cube too large to enumerate before doubling
     vertices = corpus.get(corpus.PC_2_6).vertices
     for level in range(k - 6):
         mask = DEFAULT_FLIP_MASK if masks is None else masks[level]
         vertices = _double(vertices, _validate_mask(mask, 6 + level))
-    return Tour(Board([2] * k), TourKind.CLOSED, vertices)
+    return Tour(board, TourKind.CLOSED, vertices)

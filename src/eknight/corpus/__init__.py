@@ -24,15 +24,6 @@ PC_3_4_HOLE = "PC_3_4_HOLE"
 PC_2_6 = "PC_2_6"
 NEAR_CLOSED_3_5 = "NEAR_CLOSED_3_5"
 
-_FILES = {
-    PO_3_5: "po_3_5.tour",
-    PC_3_2_HOLE: "pc_3_2_hole.tour",
-    PBAR_3_3_TWO_HOLES: "pbar_3_3_two_holes.tour",
-    PC_3_4_HOLE: "pc_3_4_hole.tour",
-    PC_2_6: "pc_2_6.tour",
-    NEAR_CLOSED_3_5: "near_closed_3_5.tour",
-}
-
 _PROVENANCE = {
     PO_3_5: (
         "open tour over all 243 cells of the 3x3x3x3x3 board; 242 jumps, "
@@ -70,17 +61,14 @@ class CorpusEntry:
 
 
 def ids() -> tuple[str, ...]:
-    return tuple(_FILES)
+    return tuple(_PROVENANCE)
 
 
 def raw_text(entry_id: str) -> str:
-    """The entry's tour file, byte for byte."""
-    try:
-        filename = _FILES[entry_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown corpus id {entry_id!r}; known ids: {', '.join(_FILES)}"
-        ) from None
+    """The entry's tour file, byte for byte; each id's file is `<id lowercased>.tour`."""
+    if entry_id not in _PROVENANCE:
+        raise KeyError(f"unknown corpus id {entry_id!r}; known ids: {', '.join(_PROVENANCE)}")
+    filename = f"{entry_id.lower()}.tour"
     return resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
 
 

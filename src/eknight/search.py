@@ -10,8 +10,10 @@ it: which successors to try below a head, and what a new path means.
 Tour search splits its work into root branches (a start vertex, optionally
 with a fixed first move that its root's expand returns alone).  Branches run
 in-process or on a worker pool, each yields (status, path, nodes, depth), and
-`find_tour` folds those results in one loop.  Every tour and longest path
-leaves through `tour._checked`, the verifier.
+`find_tour` folds those results in one loop that stops at the first branch
+that does not exhaust.  A budgeted run is always sequential, so one node
+budget is spent across its branches in order and a pool never carries one.
+Every tour and longest path leaves through `tour._checked`, the verifier.
 
 Pruning only cuts branches that provably cannot finish:
 
@@ -40,13 +42,14 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 from .board import Board, Vertex, _bits, _reachable, _spread
-from .feasibility import closed_tour_necessary, open_tour_necessary
+from .feasibility import closed_tour_necessary, color_counts, open_tour_necessary
 from .tour import Tour, TourKind, _checked
 
 
@@ -65,11 +68,11 @@ class SearchConfig:
     parallelism.  use_feasibility_precheck=False forces a full search even
     when the necessary-condition scan could short-circuit.
 
-    node_budget bounds path-push operations.  A sequential run spends one
-    budget across all root branches, and a budgeted deterministic run is
-    always sequential, so its budget is exact.  A non-deterministic parallel
-    run gives each root branch the full budget, so nodes_expanded may exceed
-    it.
+    node_budget bounds path-push operations.  A budgeted run is always
+    sequential, whatever parallel_width says: one budget is spent across all
+    root branches, so a budget_exceeded outcome has expanded exactly
+    node_budget + 1 nodes.  parallel_width > 0 runs an unbudgeted search on
+    at most one worker per CPU and per root branch.
     """
 
     target: TourKind = TourKind.OPEN
@@ -284,20 +287,9 @@ def _search_branch(
     return status, path, counters.nodes - spent, counters.max_depth
 
 
-def _in_process(run: tuple, config: SearchConfig, branches) -> Iterator[tuple]:
-    """Branch results in order, sharing one budget; stops after a budget hit."""
-    counters = _Counters(config.node_budget)
-    rng = None if config.deterministic else random.Random()
-    for branch in branches:
-        result = _search_branch(run, rng, counters, branch)
-        yield result
-        if result[0] is SearchStatus.BUDGET_EXCEEDED:
-            return
-
-
 # The settings of a pooled search, set once per worker process by
-# _init_worker: (run constants, deterministic, node budget).  Fork-started
-# workers inherit them without pickling.
+# _init_worker: (run constants, deterministic).  Fork-started workers inherit
+# them without pickling.
 _worker_run: tuple = ()
 
 
@@ -307,25 +299,23 @@ def _init_worker(*settings) -> None:
 
 
 def _branch_worker(branch: tuple[int, int | None]) -> tuple:
-    run, deterministic, budget = _worker_run
+    run, deterministic = _worker_run
     rng = None if deterministic else random.Random()
-    return _search_branch(run, rng, _Counters(budget), branch)
+    return _search_branch(run, rng, _Counters(None), branch)
 
 
-def _pooled(run: tuple, config: SearchConfig, branches) -> Iterator[tuple]:
-    """Branch results from worker processes, each branch on its own budget.
+def _pooled(run: tuple, deterministic: bool, workers: int, branches) -> Iterator[tuple]:
+    """Branch results from a pool of workers; a pooled run has no budget.
 
     Deterministic mode yields results in branch order, so the first tour is
     the sequential one; otherwise results come as branches finish.  Closing
     the generator terminates the workers still grinding on later branches.
     """
     pool = multiprocessing.get_context("fork").Pool(
-        processes=config.parallel_width,
-        initializer=_init_worker,
-        initargs=(run, config.deterministic, config.node_budget),
+        processes=workers, initializer=_init_worker, initargs=(run, deterministic)
     )
     try:
-        results = pool.imap if config.deterministic else pool.imap_unordered
+        results = pool.imap if deterministic else pool.imap_unordered
         yield from results(_branch_worker, branches)
     finally:
         pool.terminate()
@@ -364,38 +354,37 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
         starts = [next(_bits(full))]
     else:
         starts = list(_bits(full))
-        dark = dark_mask.bit_count()
-        light = board.vertex_count - dark
+        dark, light = color_counts(board)
         if abs(dark - light) == 1:
             # any open tour must start and end on the majority color
             starts = list(_bits(dark_mask if dark > light else full & ~dark_mask))
 
-    sequential_budget = config.deterministic and config.node_budget is not None
-    parallel = config.parallel_width > 0 and not sequential_budget
+    parallel = config.parallel_width > 0 and config.node_budget is None
+    rng = None if config.deterministic else random.Random()
     if closed and parallel:
         s = starts[0]
-        rng = None if config.deterministic else random.Random()
         order = _ordered_successors(masks, s, 1 << s, config.use_warnsdorff, rng)
         branches = [(s, f) for f in order]
     else:
         branches = [(s, None) for s in starts]
 
     run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff)
-    producer = _pooled if parallel and len(branches) > 1 else _in_process
-    path = None
+    workers = min(config.parallel_width, len(branches), os.cpu_count() or 1)
+    if parallel and workers > 1:
+        results = _pooled(run, config.deterministic, workers, branches)
+    else:
+        counters = _Counters(config.node_budget)
+        results = (_search_branch(run, rng, counters, b) for b in branches)
+    status, path = SearchStatus.EXHAUSTED_NONE, None
     nodes = max_depth = 0
-    budget_hit = False
-    with contextlib.closing(producer(run, config, branches)) as results:
-        for status, branch_path, branch_nodes, branch_depth in results:
+    with contextlib.closing(results):
+        for status, path, branch_nodes, branch_depth in results:
             nodes += branch_nodes
             max_depth = max(max_depth, branch_depth)
-            if status is SearchStatus.FOUND:
-                path = branch_path
+            if status is not SearchStatus.EXHAUSTED_NONE:
                 break
-            budget_hit |= status is SearchStatus.BUDGET_EXCEEDED
 
     if path is None:
-        status = SearchStatus.BUDGET_EXCEEDED if budget_hit else SearchStatus.EXHAUSTED_NONE
         return SearchOutcome(status, None, nodes, max_depth)
     tour = Tour(board, config.target, tuple(board.vertex_at(i) for i in path))
     return SearchOutcome(SearchStatus.FOUND, _checked(tour), nodes, max_depth)

@@ -129,6 +129,23 @@ def test_hypercube_rejects_small_k():
             closed_tour_on_hypercube(k)
 
 
+def test_hypercube_refuses_a_cube_too_large_to_enumerate(monkeypatch):
+    import eknight.construct
+    from eknight.cli import run
+
+    def no_doubling(vertices, axes):
+        raise AssertionError("doubled a cube the guard should have refused")
+
+    monkeypatch.setattr(eknight.construct, "_double", no_doubling)
+    with pytest.raises(ValueError, match="cells"):
+        closed_tour_on_hypercube(23)
+    # the guard comes before the base tour is verified, so an empty one will do
+    with pytest.raises(ValueError, match="cells"):
+        extend_closed_tour(Tour(Board([2] * 22), TourKind.CLOSED, ()))
+    assert run(["construct", "--k", "40"]) == 2
+    assert run(["construct", "--k", "40", "--verify-only"]) == 2
+
+
 def test_hypercube_mask_list():
     tour = closed_tour_on_hypercube(8, masks=[(0, 1, 2, 3), (2, 3, 4, 5)])
     assert tour.report().valid

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -186,8 +188,8 @@ def test_parallel_matches_sequential():
 
 
 def test_parallel_workers_receive_run_settings():
-    # the determinism flag and the node budget reach the workers once, through
-    # the pool initializer, not with each branch
+    # the determinism flag reaches the workers once, through the pool
+    # initializer, not with each branch; a budgeted run never starts a pool
     board = Board([3, 3], holes=[(1, 1)])
     config = SearchConfig(target=TourKind.CLOSED, deterministic=False, parallel_width=2)
     outcome = find_tour(board, config)
@@ -197,6 +199,43 @@ def test_parallel_workers_receive_run_settings():
         target=TourKind.CLOSED, deterministic=False, parallel_width=2, node_budget=50
     )
     assert find_tour(Board([4, 8]), config).status is SearchStatus.BUDGET_EXCEEDED
+
+
+def test_budget_is_exact_in_every_mode():
+    # a budgeted run is sequential whatever the mode, so it stops at the push
+    # that breaks the one budget
+    for deterministic in (True, False):
+        for width in (0, 2):
+            outcome = find_tour(Board([4, 8]), SearchConfig(
+                target=TourKind.CLOSED, node_budget=50,
+                deterministic=deterministic, parallel_width=width,
+            ))
+            assert outcome.status is SearchStatus.BUDGET_EXCEEDED
+            assert outcome.nodes_expanded == 51
+    # no open tour exists on 4x4 and its proof takes far more than 300 nodes
+    outcome = find_tour(
+        Board([4, 4]), SearchConfig(node_budget=300, deterministic=False, parallel_width=2)
+    )
+    assert outcome.status is SearchStatus.BUDGET_EXCEEDED
+    assert outcome.nodes_expanded == 301
+
+
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
+    sizes = []
+
+    class RecordingContext:
+        def Pool(self, processes, **kwargs):
+            sizes.append(processes)
+            raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(eknight.search.multiprocessing, "get_context",
+                        lambda method: RecordingContext())
+    cpus = os.cpu_count() or 1
+    # eight open start branches; one CPU leaves fewer than two workers, so no pool
+    config = SearchConfig(parallel_width=cpus + 2)
+    with pytest.raises(RuntimeError) if cpus > 1 else contextlib.nullcontext():
+        find_tour(Board([3, 3], holes=[(1, 1)]), config)
+    assert sizes == ([min(cpus, 8)] if cpus > 1 else [])
 
 
 def test_non_deterministic_mode_still_verifies():

@@ -346,16 +346,13 @@ def parse_board_text(text: str) -> Board:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if sides is None:
-            try:
-                sides = parse_sides(line)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            continue
-        if not line.startswith("hole:"):
-            raise ValueError(f"line {lineno}: expected 'hole: c1,c2,...' lines, got {line!r}")
         try:
-            holes.append(_parse_hole(line[len("hole:"):], sides))
+            if sides is None:
+                sides = parse_sides(line)
+            elif line.startswith("hole:"):
+                holes.append(_parse_hole(line[len("hole:"):], sides))
+            else:
+                raise ValueError(f"expected 'hole: c1,c2,...' lines, got {line!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if sides is None:

@@ -4,8 +4,9 @@ Subcommands: verify, analyze, search, longest, construct, distance, corpus,
 export-dot, classical.  Exit codes: 0 success / valid / feasible / found;
 1 invalid tour, infeasible board, exhausted or budget-bound search,
 unreachable target; 2 usage or input errors.  `--format json` emits one
-sorted-key JSON object per run so output is byte-stable; found tours go to
-stdout as tour files, diagnostics to stderr.
+sorted-key JSON object per run so output is byte-stable, except that
+`corpus show` and `export-dot` print their tour-file or DOT text in both
+modes; found tours go to stdout as tour files, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ from .tour import (
 )
 
 
-def _add_board_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_board_arguments(parser: argparse.ArgumentParser, tour: bool = False) -> None:
+    # --hole follows the whole group: argparse's usage line draws only a contiguous group
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--sides", help="comma-separated side lengths, e.g. 3,3,3,3,3")
     group.add_argument("--board", help="board description file")
+    if tour:
+        group.add_argument("--tour")
     parser.add_argument(
         "--hole",
         action="append",
@@ -48,14 +52,15 @@ def _add_board_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _board_from_args(args: argparse.Namespace) -> Board:
-    if args.board:
-        if args.hole:
-            raise ValueError("--hole only combines with --sides")
+def _board_from_args(args: argparse.Namespace) -> Board | None:
+    """The board that --sides/--hole or --board give; None for export-dot --tour."""
+    if args.hole and args.sides is None:
+        raise ValueError("--hole only combines with --sides")
+    if args.sides is not None:
+        return Board(parse_vertex(args.sides), [parse_vertex(h) for h in args.hole])
+    if args.board is not None:
         return parse_board_text(Path(args.board).read_text(encoding="utf-8"))
-    sides = parse_vertex(args.sides)
-    holes = [parse_vertex(h) for h in args.hole]
-    return Board(sides, holes)
+    return None
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
@@ -150,23 +155,27 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if any(v.feasible for v in verdicts.values()) else 1
 
 
+def _emit_tour(args: argparse.Namespace, payload: dict, tour: Tour | None) -> None:
+    """Tour-file text on stdout; under --format json, payload plus "tour" (text or null)."""
+    text = tour.serialized() if tour else None
+    if args.format == "json":
+        print(json.dumps({**payload, "tour": text}, sort_keys=True))
+    elif text is not None:
+        sys.stdout.write(text)
+
+
 def _emit_outcome(args: argparse.Namespace, outcome: SearchOutcome, depth_label: str) -> int:
     """Report a search outcome: summary on stderr, tour or JSON on stdout."""
     print(
         f"status: {outcome.status.value}  nodes: {outcome.nodes_expanded}  {depth_label}",
         file=sys.stderr,
     )
-    tour_text = outcome.tour.serialized() if outcome.tour else None
-    if args.format == "json":
-        payload = {
-            "status": outcome.status.value,
-            "nodes_expanded": outcome.nodes_expanded,
-            "max_depth_reached": outcome.max_depth_reached,
-            "tour": tour_text,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif tour_text is not None:
-        sys.stdout.write(tour_text)
+    payload = {
+        "status": outcome.status.value,
+        "nodes_expanded": outcome.nodes_expanded,
+        "max_depth_reached": outcome.max_depth_reached,
+    }
+    _emit_tour(args, payload, outcome.tour)
     return 0 if outcome.status is SearchStatus.FOUND else 1
 
 
@@ -200,15 +209,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _emit(args, _report_payload(tour.kind, report), _report_lines(tour.kind, report))
         return 0 if report.valid else 1
     tour = closed_tour_on_hypercube(args.k, masks)
-    if args.format == "json":
-        payload = {
-            "k": args.k,
-            "vertex_count": len(tour.vertices),
-            "tour": tour.serialized(),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        sys.stdout.write(tour.serialized())
+    _emit_tour(args, {"k": args.k, "vertex_count": len(tour.vertices)}, tour)
     return 0
 
 
@@ -266,12 +267,11 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    if args.tour:
+    board = _board_from_args(args)
+    if board is None:
         board, kind, vertices = parse_tour(Path(args.tour).read_text(encoding="utf-8"))
-        tour = Tour(board, kind, tuple(vertices))
-        print(_tour_dot(tour))
+        print(_tour_dot(Tour(board, kind, tuple(vertices))))
     else:
-        board = _board_from_args(args)
         print(_board_dot(board))
     return 0
 
@@ -383,11 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_corpus)
 
     p = sub.add_parser("export-dot", help="DOT graph of a board or a tour file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sides")
-    group.add_argument("--board")
-    group.add_argument("--tour")
-    p.add_argument("--hole", action="append", default=[])
+    _add_board_arguments(p, tour=True)
     p.set_defaults(handler=_cmd_export_dot)
 
     p = sub.add_parser("classical", help="closed-tour criterion for the classical knight")

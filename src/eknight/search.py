@@ -288,8 +288,8 @@ def _search_branch(
 
 
 # The settings of a pooled search, set once per worker process by
-# _init_worker: (run constants, deterministic).  Fork-started workers inherit
-# them without pickling.
+# _init_worker: (run constants, deterministic).  Forked workers inherit them;
+# spawned workers receive them pickled once, through the initializer.
 _worker_run: tuple = ()
 
 
@@ -311,7 +311,7 @@ def _pooled(run: tuple, deterministic: bool, workers: int, branches) -> Iterator
     the sequential one; otherwise results come as branches finish.  Closing
     the generator terminates the workers still grinding on later branches.
     """
-    pool = multiprocessing.get_context("fork").Pool(
+    pool = multiprocessing.get_context(None).Pool(
         processes=workers, initializer=_init_worker, initargs=(run, deterministic)
     )
     try:

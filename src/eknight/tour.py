@@ -215,38 +215,29 @@ def parse_tour(text: str) -> tuple[Board, TourKind, list[Vertex]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if sides is None:
-            if not line.startswith("board:"):
-                raise TourParseError(lineno, "expected 'board: n1 x n2 x ... x nk'")
-            try:
-                sides = parse_sides(line[len("board:"):])
-            except ValueError as exc:
-                raise TourParseError(lineno, str(exc)) from None
-            continue
-        if kind is None and line.startswith("hole:"):
-            try:
-                holes.append(_parse_hole(line[len("hole:"):], sides))
-            except ValueError as exc:
-                raise TourParseError(lineno, str(exc)) from None
-            continue
-        if kind is None:
-            if not line.startswith("kind:"):
-                raise TourParseError(lineno, "expected 'kind: open|closed|near_closed|path'")
-            value = line[len("kind:"):].strip()
-            try:
-                kind = TourKind(value)
-            except ValueError:
-                raise TourParseError(lineno, f"unknown tour kind {value!r}") from None
-            continue
         try:
-            v = parse_vertex(line)
+            if kind is not None:  # vertex lines are almost every line
+                v = parse_vertex(line)
+                if len(v) != len(sides):
+                    raise ValueError(
+                        f"vertex {v} has {len(v)} coordinates, board has {len(sides)}"
+                    )
+                vertices.append(v)
+            elif sides is None:
+                if not line.startswith("board:"):
+                    raise ValueError("expected 'board: n1 x n2 x ... x nk'")
+                sides = parse_sides(line[len("board:"):])
+            elif line.startswith("hole:"):
+                holes.append(_parse_hole(line[len("hole:"):], sides))
+            elif line.startswith("kind:"):
+                value = line[len("kind:"):].strip()
+                if value not in {k.value for k in TourKind}:
+                    raise ValueError(f"unknown tour kind {value!r}")
+                kind = TourKind(value)
+            else:
+                raise ValueError("expected 'kind: open|closed|near_closed|path'")
         except ValueError as exc:
             raise TourParseError(lineno, str(exc)) from None
-        if len(v) != len(sides):
-            raise TourParseError(
-                lineno, f"vertex {v} has {len(v)} coordinates, board has {len(sides)}"
-            )
-        vertices.append(v)
     if sides is None:
         raise TourParseError(max(lineno, 1), "missing 'board:' header")
     if kind is None:

@@ -266,6 +266,21 @@ def test_export_dot_tour(capsys, tmp_path):
     assert out.count("->") == 64
 
 
+def test_export_dot_hole_needs_sides(capsys, tmp_path):
+    # export-dot shares the board arguments, so --hole with --tour is refused too
+    path = write_tour(tmp_path, "pc26.tour", corpus.raw_text(corpus.PC_2_6))
+    for source in (("--tour", path), ("--board", path)):
+        code, out, err = invoke(capsys, "export-dot", *source, "--hole", "1,1")
+        assert (code, out, err) == (2, "", "error: --hole only combines with --sides\n")
+
+
+def test_empty_file_argument_is_input_error(capsys):
+    # an empty --board or --tour names no file; it must not fall back to --sides
+    for argv in (("analyze", "--board", ""), ("export-dot", "--tour", "")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_classical_command(capsys):
     code, out, _ = invoke(capsys, "classical", "--sides", "2,3,4")
     assert code == 0 and "yes" in out

@@ -238,6 +238,20 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
     assert sizes == ([min(cpus, 8)] if cpus > 1 else [])
 
 
+def test_parallel_search_under_spawn(monkeypatch):
+    # spawn is the only start method on some platforms; its workers get the
+    # run settings pickled through the pool initializer
+    real = multiprocessing.get_context
+    monkeypatch.setattr(eknight.search.multiprocessing, "get_context",
+                        lambda method: real(method or "spawn"))
+    board = Board([5, 6])
+    for target in (TourKind.OPEN, TourKind.CLOSED):
+        seq = find_tour(board, SearchConfig(target=target))
+        par = find_tour(board, SearchConfig(target=target, parallel_width=2))
+        assert seq.status is par.status is SearchStatus.FOUND
+        assert par.tour.vertices == seq.tour.vertices
+
+
 def test_non_deterministic_mode_still_verifies():
     board = Board([3, 3], holes=[(1, 1)])
     outcome = find_tour(board, SearchConfig(target=TourKind.CLOSED, deterministic=False))
@@ -323,6 +337,39 @@ def test_open_tours_on_larger_three_cubes(k, nodes, diagonal5, l_moves):
     kinds = [classify_move(a, b) for a, b in zip(vertices, vertices[1:])]
     assert kinds.count(MoveKind.DIAGONAL5) == diagonal5
     assert kinds.count(MoveKind.L_MOVE) == l_moves
+
+
+def test_closed_tour_on_six_cube_minus_centre():
+    # the k = 6 member of the paper's PC_3_4_HOLE family (only even k balance
+    # the colours); the closing link counts among the 728 links
+    outcome = find_tour(Board([3] * 6, holes=[(1,) * 6]), SearchConfig(target=TourKind.CLOSED))
+    assert outcome.status is SearchStatus.FOUND
+    assert outcome.nodes_expanded == 743
+    assert outcome.tour.report().valid
+    vertices = outcome.tour.vertices
+    kinds = [classify_move(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    assert kinds.count(MoveKind.DIAGONAL5) == 245
+    assert kinds.count(MoveKind.L_MOVE) == 483
+
+
+def _schwenk_closed(m: int, n: int) -> bool:
+    """Schwenk (Math. Mag. 64, 1991): an m x n board, m <= n, has a closed
+    knight's tour unless m and n are both odd, m is 1, 2 or 4, or m is 3
+    and n is 4, 6 or 8."""
+    return not (m % 2 and n % 2 or m in (1, 2, 4) or m == 3 and n in (4, 6, 8))
+
+
+def test_closed_verdicts_match_schwenk_theorem():
+    # below 5 axes the squared-distance-5 knight is the classical knight
+    boards = [(m, n) for m in range(1, 6) for n in range(m, 31) if m * n <= 30]
+    assert len(boards) == 58
+    for m, n in boards:
+        for precheck in (True, False):
+            config = SearchConfig(target=TourKind.CLOSED, use_feasibility_precheck=precheck)
+            outcome = find_tour(Board([m, n]), config)
+            assert outcome.status in (SearchStatus.FOUND, SearchStatus.EXHAUSTED_NONE)
+            found = outcome.status is SearchStatus.FOUND
+            assert found == _schwenk_closed(m, n), (m, n, precheck)
 
 
 def test_infeasible_verdicts_are_sound():

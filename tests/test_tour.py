@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eknight import corpus
 import eknight.tour
-from eknight.board import Board
+from eknight.board import Board, parse_board_text
 from eknight.construct import closed_tour_on_hypercube, extend_closed_tour
 from eknight.feasibility import color
 from eknight.search import SearchConfig, find_tour, longest_path
@@ -187,6 +187,63 @@ def test_parse_tour_errors():
     except TourParseError as caught:
         exc = caught
     assert exc is not None and exc.line == 3
+
+
+# (reader, text, exception type, str(exception), TourParseError.line or None)
+READER_ERRORS = [
+    (parse_tour, "", TourParseError, "line 1: missing 'board:' header", 1),
+    (parse_tour, "# c\n", TourParseError, "line 1: missing 'board:' header", 1),
+    (parse_tour, "\n\n", TourParseError, "line 2: missing 'board:' header", 2),
+    (parse_tour, "kind: open\n0,0\n", TourParseError,
+     "line 1: expected 'board: n1 x n2 x ... x nk'", 1),
+    (parse_tour, "board:\n", TourParseError, "line 1: malformed side list ''", 1),
+    (parse_tour, "board: 3 x 0\n", TourParseError, "line 1: sides must be >= 1, got (3, 0)", 1),
+    (parse_tour, "board: 3 x 3\n", TourParseError, "line 1: missing 'kind:' line", 1),
+    (parse_tour, "board: 3 x 3\n0,0\n", TourParseError,
+     "line 2: expected 'kind: open|closed|near_closed|path'", 2),
+    (parse_tour, "board: 3 x 3\nkind: loop\n0,0\n", TourParseError,
+     "line 2: unknown tour kind 'loop'", 2),
+    (parse_tour, "board: 3 x 3\nkind:\n", TourParseError, "line 2: unknown tour kind ''", 2),
+    (parse_tour, "board: 3 x 3\nhole: 1\n", TourParseError,
+     "line 2: hole (1,) has 1 coordinates, board has 2", 2),
+    (parse_tour, "board: 3 x 3\nhole: 4,4\nkind: open\n0,0\n", TourParseError,
+     "line 2: hole (4, 4) lies outside the board", 2),
+    (parse_tour, "board: 3 x 3\nhole: a,b\n", TourParseError,
+     "line 2: malformed coordinate list ' a,b'", 2),
+    (parse_tour, "board: 3 x 3\nkind: open\n", TourParseError, "line 2: tour has no vertices", 2),
+    (parse_tour, "board: 3 x 3\nkind: open\n# end\n\n", TourParseError,
+     "line 4: tour has no vertices", 4),
+    (parse_tour, "board: 3 x 3\nkind: open\nkind: open\n", TourParseError,
+     "line 3: malformed coordinate list 'kind: open'", 3),
+    (parse_tour, "board: 3 x 3\nkind: open\n0,0\nhole: 1,1\n", TourParseError,
+     "line 4: malformed coordinate list 'hole: 1,1'", 4),
+    (parse_tour, "board: 3 x 3\nkind: open\n0,zero\n", TourParseError,
+     "line 3: malformed coordinate list '0,zero'", 3),
+    (parse_tour, "board: 3 x 3\nkind: open\n0,0\n1,1,1\n", TourParseError,
+     "line 4: vertex (1, 1, 1) has 3 coordinates, board has 2", 4),
+    (parse_board_text, "", ValueError, "board description has no side header line", None),
+    (parse_board_text, "# only\n", ValueError, "board description has no side header line", None),
+    (parse_board_text, "board: 3 x 3\n", ValueError,
+     "line 1: malformed side list 'board: 3 x 3'", None),
+    (parse_board_text, "# c\n3 x 0\n", ValueError, "line 2: sides must be >= 1, got (3, 0)", None),
+    (parse_board_text, "3 x 3\nfoo\n", ValueError,
+     "line 2: expected 'hole: c1,c2,...' lines, got 'foo'", None),
+    (parse_board_text, "3 x 3\n\nhole: 1\n", ValueError,
+     "line 3: hole (1,) has 1 coordinates, board has 2", None),
+    (parse_board_text, "3 x 3\nhole: 3,0\n", ValueError,
+     "line 2: hole (3, 0) lies outside the board", None),
+    (parse_board_text, "3 x 3\nhole: 1,\n", ValueError,
+     "line 2: malformed coordinate list ' 1,'", None),
+]
+
+
+@pytest.mark.parametrize("reader, text, error, message, line", READER_ERRORS)
+def test_reader_error_contract(reader, text, error, message, line):
+    with pytest.raises(ValueError) as caught:
+        reader(text)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    assert getattr(caught.value, "line", None) == line
 
 
 def test_parse_tour_accepts_comments_and_blanks():

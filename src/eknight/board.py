@@ -9,7 +9,14 @@ point appears anywhere.
 
 A board stores its knight graph once, over mixed-radix cell indices, in
 `Board._index_graph()`.  `neighbors`, `adjacency`, `degree_histogram`,
-`is_connected` and `knight_distance` are all derived from that graph.
+`is_connected` and `knight_distance` are all derived from that graph.  The
+graph's neighbour bitmasks are composed axis by axis, from the cells at each
+squared length 0..5 within the box of the trailing axes, so no move is ever
+enumerated per cell.  Two size guards run before anything is allocated: a box
+of more than `_MAX_CELLS` cells is refused wherever its cells are walked, and
+a graph estimated at more than `_MAX_GRAPH_BYTES` bytes (masks about n^2/16
+bytes for n cells, plus 8 bytes a neighbour entry) is refused before it is
+built.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ Vertex = tuple[int, ...]
 KNIGHT_SQUARED_LENGTH = 5
 
 _MAX_CELLS = 2**22  # larger boxes are refused before any walk over their cells
+_MAX_GRAPH_BYTES = 2**30  # larger knight graphs are refused before they are built
+
+_BYTE_BITS = [tuple(p for p in range(8) if b >> p & 1) for b in range(256)]
 
 
 def squared_distance(a: Vertex, b: Vertex) -> int:
@@ -79,6 +89,31 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _set_bits(mask: int, cells: list[int]) -> tuple[int, ...]:
+    """cells[i] for every set bit i of mask, in increasing order of i."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return tuple([
+        cells[base + p]
+        for base, byte in zip(range(0, 8 * len(data), 8), data)
+        if byte
+        for p in _BYTE_BITS[byte]
+    ])
+
+
+def _entry_count(sides: tuple[int, ...]) -> int:
+    """Neighbour entries of the hole-free box: ordered cell pairs 5 apart.
+
+    An axis of side s holds s ordered coordinate pairs at squared distance 0,
+    2(s - 1) at 1 and 2(s - 2) at 4, so the count is the x^5 coefficient of
+    the product over the axes of s + 2(s - 1)x + 2(s - 2)x^4.
+    """
+    pairs = [1, 0, 0, 0, 0, 0]  # pairs[t]: ordered pairs at squared distance t
+    for s in sides:
+        axis = ((0, s), (1, 2 * (s - 1)), (4, max(0, 2 * (s - 2))))
+        pairs = [sum(pairs[t - sq] * ways for sq, ways in axis if sq <= t) for t in range(6)]
+    return pairs[5]
 
 
 def _spread(masks: list[int], frontier: int) -> int:
@@ -270,56 +305,65 @@ class Board:
 
         Returns (neighbor index tuples, neighbor bitmasks, bitmask of all
         non-hole indices); the lists are indexed by cell index and hold ()
-        and 0 at holes.  A move changes the index by one step per changed
-        axis, so a cell's neighbors are its in-box L-moves (a +-2 step on one
-        axis plus a +-1 step on another) and diagonal5 moves (+-1 steps on
-        five axes), minus holes.  Sorted indices are in lexicographic order.
+        and 0 at holes, and each tuple lists its mask's bits in increasing,
+        hence lexicographic, order.
+
+        The masks are composed axis by axis rather than enumerated per cell.
+        A move's squared length is the sum of its per-axis squares, each 0, 1
+        or 4.  `tables[t][r]` holds the cells of the box of the trailing axes
+        at squared length exactly t from cell r; putting an axis of side s in
+        front of that box (its cells become c * width + r) gives
+
+            tables'[t][c * width + r] = OR over d in -2..2, 0 <= c + d < s,
+                                        d * d <= t, of
+                                        tables[t - d * d][r] << (c + d) * width
+
+        and the outermost axis needs only t = 5.  Boxes larger than
+        `_MAX_CELLS` cells, or whose graph is estimated at more than
+        `_MAX_GRAPH_BYTES`, are refused before anything is allocated.
         """
         graph = self._cache.get("index_graph")
         if graph is not None:
             return graph
-        cells = self._cells()  # refuses huge boxes before the allocations below
-
-        def steps(size: int) -> list[list[tuple[int, ...]]]:
-            """[axis][coordinate] -> index deltas of the in-box +-size steps."""
-            return [
-                [tuple(d * w for d in (-size, size) if 0 <= c + d < s) for c in range(s)]
-                for s, w in zip(self.sides, self._weights)
-            ]
-
-        ones, twos = steps(1), steps(2)
-        holes = {self.index(h) for h in self.holes}
-        nbrs: list[tuple[int, ...]] = [()] * self._box_size
-        masks = [0] * self._box_size
-        for i, cell in enumerate(cells):
-            if i in holes:
-                continue
-            unit = [ones[a][c] for a, c in enumerate(cell)]
-            out = [
-                i + d2 + d1
-                for a, c in enumerate(cell)
-                for d2 in twos[a][c]
-                for b, deltas in enumerate(unit)
-                if b != a
-                for d1 in deltas
-            ]
-            # sums[j]: every sum of +-1 steps over j distinct axes seen so far
-            sums: list[list[int]] = [[0], [], [], [], [], []]
-            for deltas in unit:
-                for j in range(4, -1, -1):
-                    sums[j + 1] += [x + d for x in sums[j] for d in deltas]
-            out += [i + x for x in sums[5]]
-            if holes:
-                out = [j for j in out if j not in holes]
-            out.sort()
-            nbrs[i] = tuple(out)
-            mask = 0
-            for j in out:
-                mask |= 1 << j
-            masks[i] = mask
+        self._cells()  # refuses huge boxes before the estimate below
+        # mask i is as wide as its highest neighbour index, n/2 bits on average;
+        # each neighbour tuple entry is an 8-byte reference
+        size = self._box_size**2 // 16 + 8 * _entry_count(self.sides)
+        if size > _MAX_GRAPH_BYTES:
+            raise ValueError(
+                f"the knight graph of the {format_sides(self.sides)} box would take "
+                f"about {size} bytes, more than the {_MAX_GRAPH_BYTES} this program builds"
+            )
+        tables = [[1], [0], [0], [0], [0], [0]]  # the box of no axes: one cell
+        width = 1
+        for axis in range(len(self.sides) - 1, -1, -1):
+            s = self.sides[axis]
+            grown: list[list[int]] = [[], [], [], [], [], []]
+            for t in (5,) if axis == 0 else range(6):
+                for c in range(s):
+                    terms = [
+                        (tables[t - d * d], (c + d) * width)
+                        for d in range(-2, 3)
+                        if 0 <= c + d < s and d * d <= t
+                    ]
+                    source, shift = terms[0]
+                    row = [m << shift for m in source]
+                    for source, shift in terms[1:]:
+                        row = [a | m << shift for a, m in zip(row, source)]
+                    grown[t] += row
+            tables = grown
+            width *= s
+        masks = tables[5]
         full = (1 << self._box_size) - 1
-        for h in holes:
-            full ^= 1 << h
+        if self.holes:
+            holes = [self.index(h) for h in self.holes]
+            for h in holes:
+                full ^= 1 << h
+            masks = [m & full for m in masks]
+            for h in holes:
+                masks[h] = 0
+        cells = list(range(self._box_size))  # one shared int object per index
+        nbrs = [_set_bits(m, cells) for m in masks]
         graph = (nbrs, masks, full)
         self._cache["index_graph"] = graph
         return graph

@@ -44,6 +44,7 @@ import contextlib
 import multiprocessing
 import os
 import random
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -72,7 +73,9 @@ class SearchConfig:
     sequential, whatever parallel_width says: one budget is spent across all
     root branches, so a budget_exceeded outcome has expanded exactly
     node_budget + 1 nodes.  parallel_width > 0 runs an unbudgeted search on
-    at most one worker per CPU and per root branch.
+    at most one worker per CPU and per root branch; it runs in-process when
+    workers could not start (a script read from stdin under spawn or
+    forkserver).
     """
 
     target: TourKind = TourKind.OPEN
@@ -322,6 +325,21 @@ def _pooled(run: tuple, deterministic: bool, workers: int, branches) -> Iterator
         pool.join()
 
 
+def _workers_can_start() -> bool:
+    """False when pool workers would fail to start and be restarted forever.
+
+    Under spawn or forkserver a worker re-imports the main module, by its
+    module name or else from its file; a script read from stdin (`python -`)
+    has neither, so every worker dies at start-up and the pool replaces it.
+    """
+    if multiprocessing.get_start_method() == "fork":
+        return True
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    name = getattr(getattr(main, "__spec__", None), "name", None)
+    return path is None or os.path.isfile(path) or bool(name)
+
+
 def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome:
     """Search for an open or closed tour on the board.
 
@@ -370,7 +388,7 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
 
     run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff)
     workers = min(config.parallel_width, len(branches), os.cpu_count() or 1)
-    if parallel and workers > 1:
+    if parallel and workers > 1 and _workers_can_start():
         results = _pooled(run, config.deterministic, workers, branches)
     else:
         counters = _Counters(config.node_budget)

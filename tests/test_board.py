@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eknight.board import (
+    _MAX_GRAPH_BYTES,
     Board,
+    _entry_count,
     is_knight_move,
     parse_board_text,
     parse_sides,
@@ -47,6 +50,87 @@ def test_graph_refuses_a_box_too_large_to_enumerate():
         board.degree_histogram()
     with pytest.raises(ValueError, match="1000000000000000 cells"):
         list(board.vertices())
+
+
+def test_graph_refuses_a_graph_too_large_to_build():
+    # both boxes pass the cell guard but their masks or entries do not fit
+    for sides, cells in (([1000, 1000], 10**6), ([2] * 16, 2**16)):
+        board = Board(sides)
+        assert cells**2 // 16 + 8 * _entry_count(board.sides) > _MAX_GRAPH_BYTES
+        with pytest.raises(ValueError, match="knight graph .* would take about"):
+            board.is_connected()
+    for sides in ([3] * 9, [2] * 14, [3] * 10, [2] * 15):
+        cells = Board(sides).box_size
+        assert cells**2 // 16 + 8 * _entry_count(tuple(sides)) <= _MAX_GRAPH_BYTES
+
+
+def _brute_index_graph(board):
+    """The index-graph triple rebuilt from coordinate arithmetic alone."""
+    brute = brute_adjacency(board)
+    nbrs = [()] * board.box_size
+    masks = [0] * board.box_size
+    full = 0
+    for v, ws in brute.items():
+        i = board.index(v)
+        nbrs[i] = tuple(sorted(board.index(w) for w in ws))
+        masks[i] = sum(1 << j for j in nbrs[i])
+        full |= 1 << i
+    return nbrs, masks, full
+
+
+def test_index_graph_matches_brute_force():
+    boards = [
+        Board([5, 5]),
+        Board([6, 5, 2]),
+        Board([5, 1, 5]),
+        Board([1, 7]),
+        Board([1]),
+        Board([2] * 5),
+        Board([2, 2, 3, 2, 2, 2]),
+        Board([3, 2, 2, 2, 2, 2, 2]),
+        Board([3, 3, 2, 2, 3]),
+        Board([5, 5], holes=[(0, 0), (2, 2), (4, 4)]),
+        Board([3, 3, 3], holes=[(0, 0, 0), (1, 1, 1)]),
+        Board([2, 3, 2, 2, 2, 1], holes=[(1, 2, 1, 1, 1, 0), (0, 1, 0, 1, 0, 0)]),
+        Board([6, 6], holes=[(5, 5), (2, 3)]),
+    ]
+    rng = random.Random(1357)
+    boards += [random_board(rng, max_vertices=16) for _ in range(60)]
+    for board in boards:
+        assert board._index_graph() == _brute_index_graph(board), board
+
+
+def _graph_sha256(graph) -> str:
+    nbrs, masks, full = graph
+    digest = hashlib.sha256(repr(nbrs).encode())
+    digest.update(repr(masks).encode())
+    digest.update(repr(full).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "sides, sha256",
+    [
+        ([3] * 6, "9e6d39ad4cd3a1e24086a2ef267c63faa5b34927fd416acffc79ea03687a1828"),
+        ([3] * 7, "67d5262d16462117eefa71246e94897b8e3561039410b63b65c8b75598f190bb"),
+        ([2] * 10, "3d3d2c145d80f3debe598b594a2fc7de5b59ea49baa49507013e8e18811e634b"),
+        ([2] * 11, "7886435e1db222d290ee7b0de67512e8f5002ea3ea456a28c098ab93f2968898"),
+    ],
+    ids=["3^6", "3^7", "2^10", "2^11"],
+)
+def test_index_graph_is_pinned(sides, sha256):
+    # digests of the per-cell enumeration the axis-by-axis build replaced
+    assert _graph_sha256(Board(sides)._index_graph()) == sha256
+
+
+def test_entry_count_matches_built_graph():
+    rng = random.Random(97531)
+    for _ in range(40):
+        sides = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 7)))
+        board = Board(sides)
+        if board.box_size > 3000:
+            continue
+        assert _entry_count(sides) == sum(map(len, board._index_graph()[0])), sides
 
 
 def test_vertices_lexicographic_and_skip_holes():

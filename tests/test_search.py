@@ -3,6 +3,8 @@ import hashlib
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +252,24 @@ def test_parallel_search_under_spawn(monkeypatch):
         par = find_tour(board, SearchConfig(target=target, parallel_width=2))
         assert seq.status is par.status is SearchStatus.FOUND
         assert par.tour.vertices == seq.tour.vertices
+
+
+def test_parallel_search_from_a_stdin_script_under_spawn():
+    # a spawned worker cannot re-import a main script read from stdin, so
+    # the branches run in-process instead of a pool restarting workers forever
+    script = (
+        "import multiprocessing\n"
+        "from eknight import Board, SearchConfig, TourKind, find_tour\n"
+        "multiprocessing.set_start_method('spawn', force=True)\n"
+        "config = SearchConfig(target=TourKind.CLOSED, parallel_width=2)\n"
+        "print(find_tour(Board([5, 6]), config).tour.vertices)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-"], input=script, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seq = find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED))
+    assert proc.stdout == f"{seq.tour.vertices}\n"
 
 
 def test_non_deterministic_mode_still_verifies():

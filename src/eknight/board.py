@@ -63,9 +63,12 @@ def format_vertex(v: Vertex) -> str:
 
 
 def _parse_ints(text: str, separator: str, what: str) -> tuple[int, ...]:
-    """The separator-delimited integers of text; an empty part is malformed."""
+    """The separator-delimited integers of text; an empty part is malformed.
+
+    int() ignores the whitespace around each part.
+    """
     try:
-        return tuple(int(p.strip()) for p in text.split(separator))
+        return tuple(map(int, text.split(separator)))
     except ValueError:
         raise ValueError(f"malformed {what} {text!r}") from None
 
@@ -290,13 +293,28 @@ class Board:
         return None
 
     def _dark_mask(self) -> int:
-        """Bitmask of the non-hole cells whose coordinate sum is even (cached)."""
+        """Bitmask of the non-hole cells whose coordinate sum is even (cached).
+
+        Composed axis by axis like `_index_graph`: putting an axis of side s in
+        front of a box of `width` cells whose even-sum mask is `mask` gives
+        rows c * width + r with even sum where c + sum(r) is even, that is
+        `mask` at even c and its complement at odd c.  The two-row pattern is
+        doubled until it covers s rows, so the work is linear in the mask.
+        """
         mask = self._cache.get("dark_mask")
         if mask is None:
-            mask = 0
-            for i, v in enumerate(self._cells()):
-                if sum(v) % 2 == 0 and v not in self.holes:
-                    mask |= 1 << i
+            self._cells()  # refuses huge boxes
+            mask, width = 1, 1  # the box of no axes: one cell, sum 0
+            for s in reversed(self.sides):
+                rows, pattern = 2, mask | (mask ^ ((1 << width) - 1)) << width
+                while rows < s:
+                    pattern |= pattern << rows * width
+                    rows *= 2
+                width *= s
+                mask = pattern & ((1 << width) - 1)
+            for h in self.holes:
+                if sum(h) % 2 == 0:
+                    mask ^= 1 << self.index(h)
             self._cache["dark_mask"] = mask
         return mask
 

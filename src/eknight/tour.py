@@ -9,9 +9,12 @@ A tour claims one of four kinds:
   path         legal walk with distinct vertices; no coverage requirement
                (used for partial reference chains).
 
-Verification is total and takes one pass: any dimension-consistent input
-yields a report whose violations are grouped by check, in the order
-membership, link legality, coverage, closure; the first is the report's.
+Verification is total: any dimension-consistent input yields a report whose
+violations are grouped by check, in the order membership, link legality,
+coverage, closure; the first is the report's.  Membership and link checks
+run one axis at a time on the coordinates packed into bytes, with each
+link's squared and taxicab lengths summed in lanes of one big integer; input
+the packing cannot hold takes a per-link fallback with the same results.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from operator import lt, mul, sub
+from itertools import chain, compress
+from operator import lt
 
 from .board import (
     KNIGHT_SQUARED_LENGTH,
@@ -116,56 +120,70 @@ def verify(
     claimed: TourKind,
     all_violations: bool = False,
 ) -> VerificationReport:
-    """Check a vertex sequence against a board and a claimed kind in one pass.
+    """Check a vertex sequence against a board and a claimed kind.
 
-    One walk checks each entry's dimension, membership, incoming link and
-    multiplicity, with one count table for every kind; the report order is
-    the module docstring's.  Endpoint squared distance and the per-link
-    taxicab histogram are always computed, even for invalid sequences.
+    The per-link and per-coordinate work runs a column at a time in `bytes`
+    and `int` operations (see `_packed_checks`); coordinates outside 0..127,
+    non-integers and boards of more than `_LANE_AXES` axes take a per-link
+    fallback that computes the same values.  One count table serves every
+    kind, and the sequence is walked in Python only at repeated vertices.
+    The report order is the module docstring's.  Endpoint squared distance
+    and the per-link taxicab histogram are always computed, even for invalid
+    sequences.
     """
     k, sides, holes = board.dimension, board.sides, board.holes
-    near = claimed is TourKind.NEAR_CLOSED
-    members: list[Violation] = []
-    links: list[Violation] = []
-    repeats: list[Violation] = []
-    taxicab_counts: Counter[int] = Counter()
-    counts: dict[Vertex, int] = {}
-    i = -1
-    for i, v in enumerate(map(tuple, vertices)):
-        if len(v) != k:
-            raise ValueError(f"vertex {v} has {len(v)} coordinates, board has {k}")
-        if min(v) < 0 or not all(map(lt, v, sides)):
-            members.append(Violation(i, f"vertex {format_vertex(v)} lies outside the board"))
-        elif v in holes:
-            members.append(Violation(i, f"vertex {format_vertex(v)} is a removed cell"))
-        if i:
-            d = list(map(sub, v, prev))
-            taxicab_counts[sum(map(abs, d))] += 1
-            sq = sum(map(mul, d, d))
-            if sq != KNIGHT_SQUARED_LENGTH:
-                links.append(Violation(i - 1, f"link {i - 1}: squared length {sq} (expected 5)"))
-        else:
-            first = v
-        prev = v
-        c = counts[v] = counts.get(v, 0) + 1
-        if c > 1 and not near:
-            repeats.append(Violation(i, f"vertex {format_vertex(v)} visited more than once"))
-        elif c == 2 and v == first:  # near_closed only from here
-            repeats.append(Violation(i, "start vertex revisited before the final return"))
-        elif c == 3:
-            repeats.append(Violation(i, f"vertex {format_vertex(v)} visited a third time"))
-    n = i + 1
-    if not n:
+    vs = list(map(tuple, vertices))
+    wrong = next(compress(vs, map(k.__ne__, map(len, vs))), None)
+    if wrong is not None:
+        raise ValueError(f"vertex {wrong} has {len(wrong)} coordinates, board has {k}")
+    if not vs:
         raise ValueError("a tour needs at least one vertex")
 
+    checks = _packed_checks(vs, sides)
+    if checks is None:
+        outside = [i for i, v in enumerate(vs) if min(v) < 0 or not all(map(lt, v, sides))]
+        illegal = [
+            i for i, (a, b) in enumerate(zip(vs, vs[1:]))
+            if squared_distance(a, b) != KNIGHT_SQUARED_LENGTH
+        ]
+        taxicab_counts = Counter(map(taxicab_distance, vs, vs[1:]))
+    else:
+        outside, illegal, taxicab_counts = checks
+    where = dict.fromkeys(outside, "lies outside the board")
+    if holes:  # holes lie in the box, so no entry is both outside and a hole
+        removed = _marked(bytes(map(holes.__contains__, vs)))
+        where.update(dict.fromkeys(removed, "is a removed cell"))
+    members = [Violation(i, f"vertex {format_vertex(vs[i])} {where[i]}") for i in sorted(where)]
+    links = [
+        Violation(i, f"link {i}: squared length {squared_distance(vs[i], vs[i + 1])} (expected 5)")
+        for i in illegal
+    ]
+
+    n = len(vs)
+    first, last = vs[0], vs[-1]
+    near = claimed is TourKind.NEAR_CLOSED
+    counts = Counter(vs)
+    repeats: list[Violation] = []
+    if len(counts) < n:  # only the repeated vertices are walked
+        seen = dict.fromkeys(compress(counts, map((1).__lt__, counts.values())), 0)
+        for i in _marked(bytes(map(seen.__contains__, vs))):
+            v = vs[i]
+            c = seen[v] = seen[v] + 1
+            if c > 1 and not near:
+                repeats.append(Violation(i, f"vertex {format_vertex(v)} visited more than once"))
+            elif c == 2 and v == first:  # near_closed only from here
+                repeats.append(Violation(i, "start vertex revisited before the final return"))
+            elif c == 3:
+                repeats.append(Violation(i, f"vertex {format_vertex(v)} visited a third time"))
+
     end, total = n - 1, board.vertex_count
-    endpoint = squared_distance(first, prev)
+    endpoint = squared_distance(first, last)
     tail: list[Violation] = []  # coverage, then closure
     if not near:
         tail += repeats
         if claimed is not TourKind.PATH and n != total:
             tail.append(Violation(end, f"{n} entries for {total} board vertices"))
-    elif prev != first:
+    elif last != first:
         tail.append(Violation(end, "walk does not return to its start"))
     else:
         if n != total + 2:
@@ -173,7 +191,7 @@ def verify(
             tail.append(Violation(end, message))
         # the final return to the start closes the walk; it is not a visit
         tail += [r for r in repeats if r.index != end]
-        twice = sum(c == 2 for v, c in counts.items() if v != first)
+        twice = list(counts.values()).count(2) - (counts[first] == 2)
         if twice != 1:
             tail.append(Violation(end, f"{twice} vertices visited twice (exactly one required)"))
         covered = len(counts) if n > 1 else 0
@@ -194,6 +212,71 @@ def verify(
         entry_count=n,
         link_count=end,
     )
+
+
+# Each link is one 3-byte lane: byte 0 sums the per-axis squares capped at 6,
+# which is 5 exactly when the link is a knight move; bytes 1-2 sum the per-axis
+# absolute steps, the link's taxicab length.  42 * 6 < 256 and 42 * 127 < 2**16,
+# so up to 42 axes no lane carries into the next.
+_LANE_AXES = 42
+_CAPPED_SQUARE = bytes(min((b - 128) ** 2, 6) for b in range(256))
+_ABS_STEP = bytes(abs(b - 128) for b in range(256))
+_NOT_KNIGHT = bytes(b != KNIGHT_SQUARED_LENGTH for b in range(256))
+
+
+def _marked(flags: bytes) -> list[int]:
+    """Positions of the 1 bytes of a 0/1 flag string, in increasing order."""
+    found = []
+    i = flags.find(1)
+    while i >= 0:
+        found.append(i)
+        i = flags.find(1, i + 1)
+    return found
+
+
+def _packed_checks(
+    vs: list[Vertex], sides: tuple[int, ...]
+) -> tuple[list[int], list[int], Counter[int]] | None:
+    """(outside entries, illegal links, taxicab histogram), one axis at a time.
+
+    The coordinates are packed into one byte each; axis a's column is every
+    k-th byte.  Read as little-endian integers, column[1:] + 0x8080...80 -
+    column[:-1] holds each link's signed step on the axis, plus 128, in one
+    byte: with every coordinate below 128 no byte carries or borrows.  Translating those
+    bytes gives each link's capped square and absolute step on the axis, and
+    the per-axis sums accumulate in the lanes described above.  None when a
+    coordinate is not an int in 0..127 or the board has more than
+    `_LANE_AXES` axes.
+    """
+    k = len(sides)
+    if k > _LANE_AXES:
+        return None
+    try:
+        rows = bytes(chain.from_iterable(vs))
+    except (TypeError, ValueError):
+        return None
+    if not rows.isascii():  # a coordinate above 127
+        return None
+    m = len(vs) - 1
+    bias = int.from_bytes(b"\x80" * m, "little")
+    spread = bytearray(3 * m)  # one axis's squares and steps, in lane layout
+    sums = 0
+    outside: set[int] = set()
+    for a, side in enumerate(sides):
+        column = rows[a::k]
+        outside.update(_marked(column.translate(bytes(c >= side for c in range(256)))))
+        after = int.from_bytes(column[1:], "little") + bias
+        step = (after - int.from_bytes(column[:-1], "little")).to_bytes(m, "little")
+        spread[0::3] = step.translate(_CAPPED_SQUARE)
+        spread[1::3] = step.translate(_ABS_STEP)
+        sums += int.from_bytes(spread, "little")
+    packed = sums.to_bytes(3 * m, "little")
+    low, high = packed[1::3], packed[2::3]
+    if high.count(0) == m:  # every taxicab length fits its low byte
+        taxicab = Counter(low)
+    else:
+        taxicab = Counter(lo | hi << 8 for lo, hi in zip(low, high))
+    return sorted(outside), _marked(packed[0::3].translate(_NOT_KNIGHT)), taxicab
 
 
 class TourParseError(ValueError):

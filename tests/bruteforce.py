@@ -3,7 +3,7 @@
 Everything here recomputes adjacency from raw coordinate arithmetic so a bug
 in the library's neighbor generation cannot fool the oracle.
 `reference_verify` is the earlier four-pass verifier, the oracle for the
-one-pass `tour.verify`.
+packed, axis-by-axis `tour.verify`.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def reference_verify(
     claimed: TourKind,
     all_violations: bool = False,
 ) -> VerificationReport:
-    """Four-pass verifier kept as an oracle for the one-pass `tour.verify`.
+    """Four-pass verifier kept as an oracle for `tour.verify`.
 
     It walks the sequence once per check (membership, links, coverage,
     closure) and near-closed coverage in a walk of its own, so a report it

@@ -133,6 +133,30 @@ def test_entry_count_matches_built_graph():
         assert _entry_count(sides) == sum(map(len, board._index_graph()[0])), sides
 
 
+def test_dark_mask_matches_per_cell_parity():
+    boards = [
+        Board([1]),
+        Board([1, 1, 1]),
+        Board([1, 7]),
+        Board([7, 1]),
+        Board([2, 1, 3, 1]),
+        Board([5, 5], holes=[(0, 0), (2, 3), (4, 4)]),
+        Board([3, 1, 3], holes=[(1, 0, 1), (0, 0, 1)]),
+        Board([2] * 6, holes=[(0,) * 6, (1, 0, 0, 0, 0, 0)]),
+        Board([9, 2, 5]),
+    ]
+    rng = random.Random(8642)
+    boards += [random_board(rng, max_vertices=16) for _ in range(60)]
+    for board in boards:
+        brute = 0
+        for i, v in enumerate(itertools.product(*(range(s) for s in board.sides))):
+            if sum(v) % 2 == 0 and v not in board.holes:
+                brute |= 1 << i
+        assert board._dark_mask() == brute, board
+    # a million cells, composed in well under a second
+    assert Board([1000, 1000])._dark_mask().bit_count() == 500_000
+
+
 def test_vertices_lexicographic_and_skip_holes():
     board = Board([2, 3], holes=[(0, 1)])
     assert list(board.vertices()) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]

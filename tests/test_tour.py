@@ -16,7 +16,9 @@ from eknight.tour import (
     TourKind,
     TourParseError,
     Violation,
+    _LANE_AXES,
     _checked,
+    _packed_checks,
     classify_move,
     parse_tour,
     serialize_tour,
@@ -388,3 +390,98 @@ def test_single_entry_near_closed_covers_an_empty_body():
         "covers 0 of 9 board vertices",
     ]
     _assert_matches_reference(board, [(0, 0)])
+
+
+# every knight move of a k-axis board, k = 1..6, as a tuple of coordinate steps
+KNIGHT_STEPS = {
+    k: [d for d in itertools.product(range(-2, 3), repeat=k) if sum(x * x for x in d) == 5]
+    for k in range(1, 7)
+}
+
+
+@st.composite
+def wide_board_and_walk(draw):
+    """Boards of up to 6 axes and sides up to 200, walks with coordinates -3..300.
+
+    Walks mix knight moves, board cells, strays and repeats.  A coordinate
+    outside 0..127 sends `verify` to its per-link fallback; the other walks
+    take the packed path.
+    """
+    k = draw(st.integers(min_value=1, max_value=6))
+    sides = tuple(draw(st.integers(min_value=1, max_value=200)) for _ in range(k))
+    cell = st.tuples(*[st.integers(min_value=0, max_value=s - 1) for s in sides])
+    stray = st.tuples(*[st.integers(min_value=-3, max_value=300)] * k)
+    steps = KNIGHT_STEPS[k]
+    holes = draw(st.lists(cell, max_size=3))
+    vertices = [draw(cell)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        roll = draw(st.integers(min_value=0, max_value=9))
+        if roll < 6 and steps:
+            step = draw(st.sampled_from(steps))
+            vertices.append(tuple(map(sum, zip(vertices[-1], step))))
+        elif roll < 8:
+            vertices.append(draw(cell))
+        elif roll < 9:
+            vertices.append(draw(stray))
+        else:
+            vertices.append(draw(st.sampled_from(vertices)))
+    if draw(st.booleans()):
+        vertices.append(vertices[0])
+    return Board(sides, holes), vertices, draw(st.sampled_from(list(TourKind)))
+
+
+@given(wide_board_and_walk())
+@settings(max_examples=300)
+def test_verify_matches_four_pass_reference_on_wide_boards(case):
+    board, vertices, kind = case
+    _assert_matches_reference(board, vertices, kind)
+
+
+def test_verify_matches_reference_on_a_hypercube_tour_and_damaged_copies():
+    board = Board([2] * 12)
+    v = list(closed_tour_on_hypercube(12).vertices)
+    swapped = v[:40] + [v[41], v[40]] + v[42:]
+    off = v[:7] + [(2,) + v[7][1:]] + v[8:]
+    repeated = v[:100] + [v[5]] + v[101:]
+    for vertices in (v, swapped, off, repeated):
+        assert _packed_checks(vertices, board.sides) is not None
+        _assert_matches_reference(board, vertices)
+
+
+def test_packed_lanes_do_not_carry():
+    # per-axis steps of 15, 16 and 127 sit at nibble and byte edges
+    board = Board([128] * 3)
+    walk = [(0, 0, 0), (15, 0, 0), (15, 16, 0), (15, 16, 127), (0, 16, 127), (127, 0, 0),
+            (125, 1, 0), (126, 3, 0), (127, 127, 127), (0, 0, 0), (2, 1, 0), (1, 1, 2)]
+    assert _packed_checks(walk, board.sides) is not None
+    _assert_matches_reference(board, walk)
+
+    # twenty axes stepping 0 -> 127: each link's taxicab sum needs two bytes
+    # and its capped squares add up to 120 in one
+    board = Board([128] * 20)
+    walk = [(0,) * 20, (127,) * 20, (0,) * 20, (2, 1) + (0,) * 18]
+    assert _packed_checks(walk, board.sides) is not None
+    report = verify(board, walk, TourKind.PATH, all_violations=True)
+    assert report.move_taxicab_counts == {3: 1, 2540: 2}
+    assert [v.description for v in report.violations] == [
+        "link 0: squared length 322580 (expected 5)",
+        "link 1: squared length 322580 (expected 5)",
+        "vertex " + ",".join(["0"] * 20) + " visited more than once",
+    ]
+    _assert_matches_reference(board, walk)
+
+
+def test_verify_fallback_inputs_match_reference():
+    cases = [
+        (Board([200, 200]), [(126, 0), (128, 1), (130, 0), (131, 2), (126, 0)]),
+        (Board([3, 3]), [(0, 0), (-1, 2), (1, 1), (0, 0)]),
+    ]
+    for board, walk in cases:
+        assert _packed_checks(walk, board.sides) is None
+        _assert_matches_reference(board, walk)
+    # 43 capped squares of 6 overflow a byte: the lanes hold 42 axes
+    for axes in (42, 43):
+        board = Board([128] * axes)
+        walk = [(0,) * axes, (127,) * axes, (0,) * axes, (2, 1) + (0,) * (axes - 2)]
+        assert (_packed_checks(walk, board.sides) is None) == (axes > _LANE_AXES)
+        _assert_matches_reference(board, walk)

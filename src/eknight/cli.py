@@ -85,7 +85,8 @@ def _report_payload(kind: TourKind, report: VerificationReport) -> dict:
     }
 
 
-def _report_lines(kind: TourKind, report: VerificationReport) -> list[str]:
+def _emit_report(args: argparse.Namespace, kind: TourKind, report: VerificationReport) -> int:
+    """Emit a verification report; the exit code is 0 for a valid tour, else 1."""
     links = f"{report.link_count}+1" if kind is TourKind.CLOSED else str(report.link_count)
     lines = [
         f"kind: {kind.value}",
@@ -99,9 +100,9 @@ def _report_lines(kind: TourKind, report: VerificationReport) -> list[str]:
             or "(none)"
         ),
     ]
-    for v in report.violations:
-        lines.append(f"violation at index {v.index}: {v.description}")
-    return lines
+    lines.extend(f"violation at index {v.index}: {v.description}" for v in report.violations)
+    _emit(args, _report_payload(kind, report), lines)
+    return 0 if report.valid else 1
 
 
 def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
@@ -115,8 +116,7 @@ def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
 def _cmd_verify(args: argparse.Namespace) -> int:
     board, kind, vertices = parse_tour(Path(args.file).read_text(encoding="utf-8"))
     report = verify(board, vertices, kind, all_violations=args.all_violations)
-    _emit(args, _report_payload(kind, report), _report_lines(kind, report))
-    return 0 if report.valid else 1
+    return _emit_report(args, kind, report)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -205,9 +205,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         # this report is the one verification: closed_tour_on_hypercube
         # would verify the tour once more before it is reported
         tour = _hypercube_tour(args.k, masks)
-        report = tour.report()
-        _emit(args, _report_payload(tour.kind, report), _report_lines(tour.kind, report))
-        return 0 if report.valid else 1
+        return _emit_report(args, tour.kind, tour.report())
     tour = closed_tour_on_hypercube(args.k, masks)
     _emit_tour(args, {"k": args.k, "vertex_count": len(tour.vertices)}, tour)
     return 0
@@ -248,22 +246,17 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         sys.stdout.write(corpus.raw_text(args.id))
         return 0
     # check-all
-    results = {}
+    results, lines, valid = {}, [], True
     for entry_id in corpus.ids():
         entry = corpus.get(entry_id)
         report = entry.tour().report()
-        results[entry_id] = report
-    payload = {
-        "results": {i: _report_payload(corpus.get(i).kind, r) for i, r in results.items()}
-    }
-    lines = []
-    for entry_id, report in results.items():
+        results[entry_id] = _report_payload(entry.kind, report)
         status = "ok" if report.valid else "INVALID"
         lines.append(f"{entry_id}: {status} ({report.entry_count} entries)")
-        for v in report.violations:
-            lines.append(f"  violation at index {v.index}: {v.description}")
-    _emit(args, payload, lines)
-    return 0 if all(r.valid for r in results.values()) else 1
+        lines.extend(f"  violation at index {v.index}: {v.description}" for v in report.violations)
+        valid = valid and report.valid
+    _emit(args, {"results": results}, lines)
+    return 0 if valid else 1
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:

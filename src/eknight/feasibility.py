@@ -9,7 +9,6 @@ merely passes the necessary conditions.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -39,29 +38,20 @@ def color_counts(board: Board) -> ColorCounts:
     return ColorCounts(dark, board.vertex_count - dark)
 
 
+_MOVE_SHAPES = ((2, 1), (1, 1, 1, 1, 1))
+
+
 def move_decompositions(k: int) -> set[tuple[int, ...]]:
     """All multisets of absolute coordinate changes with squares summing to 5.
 
     Each multiset is returned as a descending tuple of its nonzero entries;
-    at most k coordinates may change.
+    at most k coordinates may change.  The only positive squares up to 5 are
+    1 and 4, so 5 = 4 + 1 = 1 + 1 + 1 + 1 + 1 and there are exactly two
+    shapes: the L-move (2, 1) and the diagonal5 move (1, 1, 1, 1, 1).
     """
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-    found: set[tuple[int, ...]] = set()
-
-    def extend(remaining: int, max_part: int, acc: tuple[int, ...]) -> None:
-        if remaining == 0:
-            if len(acc) <= k:
-                found.add(acc)
-            return
-        part = min(max_part, math.isqrt(remaining))
-        while part >= 1:
-            if len(acc) < k:
-                extend(remaining - part * part, part, acc + (part,))
-            part -= 1
-
-    extend(5, 2, ())
-    return found
+    return {shape for shape in _MOVE_SHAPES if len(shape) <= k}
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,10 @@ def test_index_matches_lexicographic_order():
     assert [board.index(v) for v in cells] == list(range(board.box_size))
     for i, v in enumerate(cells):
         assert board.vertex_at(i) == v
+    for i in (-1, board.box_size):
+        message = rf"^index {i} out of range for Board\(3 x 2 x 4, holes=0\)$"
+        with pytest.raises(ValueError, match=message):
+            board.vertex_at(i)
 
 
 def test_is_knight_move_examples():
@@ -177,6 +181,8 @@ def test_is_knight_move_examples():
     assert not is_knight_move((0, 0), (1, 1))
     with pytest.raises(ValueError):
         is_knight_move((0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="^dimension mismatch: 2-tuple vs 3-tuple$"):
+        taxicab_distance((0, 0), (0, 0, 0))
 
 
 @given(
@@ -254,6 +260,8 @@ def test_connectivity_thresholds():
     assert not Board([2] * 5).is_connected()
     assert Board([2] * 6).is_connected()
     assert Board([2] * 7).is_connected()
+    with pytest.raises(ValueError, match="^board has no vertices$"):
+        Board([2, 1], holes=[(0, 0), (1, 0)]).is_connected()
 
 
 def test_knight_distance_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from eknight import corpus
@@ -249,6 +250,33 @@ def test_corpus_commands(capsys):
     assert "unknown corpus id" in err
 
 
+def test_corpus_check_all_reports_a_damaged_entry(capsys, monkeypatch):
+    get = corpus.get
+
+    def damaged_get(entry_id):
+        entry = get(entry_id)
+        if entry_id != corpus.PC_3_2_HOLE:
+            return entry
+        vertices = list(entry.vertices)
+        vertices[2], vertices[5] = vertices[5], vertices[2]
+        return dataclasses.replace(entry, vertices=tuple(vertices))
+
+    monkeypatch.setattr(corpus, "get", damaged_get)
+    code, out, _ = invoke(capsys, "corpus", "check-all")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("PC_3_2_HOLE: INVALID (8 entries)")
+    assert lines[at + 1].startswith("  violation at index ")
+    assert out.count(": ok") == len(corpus.ids()) - 1
+
+    code, out, _ = invoke(capsys, "--format", "json", "corpus", "check-all")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results[corpus.PC_3_2_HOLE]["valid"] is False
+    assert results[corpus.PC_3_2_HOLE]["violations"]
+    assert [i for i, r in results.items() if not r["valid"]] == [corpus.PC_3_2_HOLE]
+
+
 def test_export_dot_board(capsys):
     code, out, _ = invoke(capsys, "export-dot", "--sides", "3,3", "--hole", "1,1")
     assert code == 0
@@ -264,6 +292,14 @@ def test_export_dot_tour(capsys, tmp_path):
     assert "diagonal5" in out
     # closed tours include the wrap-around link
     assert out.count("->") == 64
+
+    # a link that is no knight move is still drawn, labelled illegal
+    board, kind, vertices = parse_tour(corpus.raw_text(corpus.PC_2_6))
+    vertices[3], vertices[10] = vertices[10], vertices[3]
+    path = write_tour(tmp_path, "broken.tour", serialize_tour(board, kind, vertices))
+    code, out, _ = invoke(capsys, "export-dot", "--tour", path)
+    assert code == 0
+    assert '  "0,0,0,0,1,1" -> "0,0,1,1,1,1" [label="3 illegal"];' in out.splitlines()
 
 
 def test_export_dot_hole_needs_sides(capsys, tmp_path):

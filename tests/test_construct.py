@@ -92,6 +92,9 @@ def test_base_validation():
         extend_closed_tour(Tour(base.board, TourKind.OPEN, base.vertices))
     with pytest.raises(ValueError, match="2 x 2"):
         extend_closed_tour(Tour(Board([3, 3]), TourKind.CLOSED, ((0, 0),)))
+    message = "^no closed tour exists on a 5-cube; the base needs k >= 6$"
+    with pytest.raises(ValueError, match=message):
+        extend_closed_tour(Tour(Board([2] * 5), TourKind.CLOSED, ((0,) * 5,)))
     broken = list(base.vertices)
     broken[5], broken[9] = broken[9], broken[5]
     with pytest.raises(ValueError, match="verification"):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from eknight.board import Board
@@ -44,7 +46,16 @@ def test_move_decompositions():
     assert move_decompositions(4) == {(2, 1)}
     assert move_decompositions(5) == {(2, 1), (1, 1, 1, 1, 1)}
     assert move_decompositions(9) == {(2, 1), (1, 1, 1, 1, 1)}
-    with pytest.raises(ValueError):
+    # independent enumeration: every displacement in {-2..2}^k of squared length 5
+    for k in range(1, 8):
+        derived = {
+            tuple(sorted((abs(x) for x in d if x), reverse=True))
+            for d in itertools.product(range(-2, 3), repeat=k)
+            if sum(x * x for x in d) == 5
+        }
+        assert move_decompositions(k) == derived, k
+    assert move_decompositions(5) is not move_decompositions(5)
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
         move_decompositions(0)
 
 

@@ -79,6 +79,9 @@ def test_longest_path_examples():
     assert outcome.max_depth_reached == 1
     assert outcome.tour.link_count == 0
 
+    with pytest.raises(ValueError, match="^board has no vertices$"):
+        longest_path(Board([2, 1], holes=[(0, 0), (1, 0)]))
+
 
 def test_longest_path_full_board_hits_vertex_count():
     outcome = longest_path(Board([3, 3], holes=[(1, 1)]))

@@ -7,16 +7,14 @@ another by 1 (an L-move), or five coordinates change by 1 each (a diagonal5
 move).  Every predicate here works in plain integer arithmetic; no floating
 point appears anywhere.
 
-A board stores its knight graph once, over mixed-radix cell indices, in
-`Board._index_graph()`.  `neighbors`, `adjacency`, `degree_histogram`,
-`is_connected` and `knight_distance` are all derived from that graph.  The
-graph's neighbour bitmasks are composed axis by axis, from the cells at each
-squared length 0..5 within the box of the trailing axes, so no move is ever
-enumerated per cell.  Two size guards run before anything is allocated: a box
-of more than `_MAX_CELLS` cells is refused wherever its cells are walked, and
-a graph estimated at more than `_MAX_GRAPH_BYTES` bytes (masks about n^2/16
-bytes for n cells, plus 8 bytes a neighbour entry) is refused before it is
-built.
+A board stores its knight graph once, as one neighbour bitmask per
+mixed-radix cell index, in `Board._index_graph()`; every graph query reads the
+masks.  They are composed axis by axis, from the cells at each squared length
+0..5 within the box of the trailing axes, so no move is enumerated per cell.
+Two size guards run before anything is allocated: a box of more than
+`_MAX_CELLS` cells is refused wherever its cells are walked, and one whose
+build `_graph_bytes` bounds above `_MAX_GRAPH_BYTES` (n^2/8 bytes of masks for
+n cells, plus the composition's tables) is refused before it is built.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ KNIGHT_SQUARED_LENGTH = 5
 
 _MAX_CELLS = 2**22  # larger boxes are refused before any walk over their cells
 _MAX_GRAPH_BYTES = 2**30  # larger knight graphs are refused before they are built
-
-_BYTE_BITS = [tuple(p for p in range(8) if b >> p & 1) for b in range(256)]
 
 
 def squared_distance(a: Vertex, b: Vertex) -> int:
@@ -94,29 +90,30 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _set_bits(mask: int, cells: list[int]) -> tuple[int, ...]:
-    """cells[i] for every set bit i of mask, in increasing order of i."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    return tuple([
-        cells[base + p]
-        for base, byte in zip(range(0, 8 * len(data), 8), data)
-        if byte
-        for p in _BYTE_BITS[byte]
-    ])
+class _Rows:
+    """Neighbour tuples decoded when read: rows[i] lists mask i's bits in order."""
+
+    def __init__(self, masks: list[int]) -> None:
+        self.masks = masks
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        return tuple(_bits(self.masks[i]))  # IndexError past the end stops iteration
 
 
-def _entry_count(sides: tuple[int, ...]) -> int:
-    """Neighbour entries of the hole-free box: ordered cell pairs 5 apart.
+def _graph_bytes(sides: tuple[int, ...]) -> int:
+    """Bytes that `Board._index_graph` allocates at most for this box.
 
-    An axis of side s holds s ordered coordinate pairs at squared distance 0,
-    2(s - 1) at 1 and 2(s - 2) at 4, so the count is the x^5 coefficient of
-    the product over the axes of s + 2(s - 1)x + 2(s - 2)x^4.
+    It sums every axis's tables (the build holds two axes' at once).  Row c of
+    an axis of side s reaches row c + 2, so its entries are ints of at most
+    min(s, c + 3) * width bits: 28 bytes, 4 more per 30-bit digit, and a 9-byte
+    list slot.  The outermost axis adds a partial row, two row lists and `full`.
     """
-    pairs = [1, 0, 0, 0, 0, 0]  # pairs[t]: ordered pairs at squared distance t
-    for s in sides:
-        axis = ((0, s), (1, 2 * (s - 1)), (4, max(0, 2 * (s - 2))))
-        pairs = [sum(pairs[t - sq] * ways for sq, ways in axis if sq <= t) for t in range(6)]
-    return pairs[5]
+    total, width = 1 << 16, 1  # 64 KiB for list headers and loop temporaries
+    for axis, s in reversed(list(enumerate(sides))):
+        table = width * sum(37 + min(s, c + 3) * width // 30 * 4 for c in range(s))
+        total += table if axis == 0 else 6 * table
+        width *= s
+    return total + (width // sides[0] + 2) * (46 + width // 30 * 4)
 
 
 def _spread(masks: list[int], frontier: int) -> int:
@@ -143,9 +140,8 @@ class Board:
     Every cell of the box has a mixed-radix index (first coordinate most
     significant), so index order and lexicographic order coincide; holes keep
     their index, they are just never enumerated or visited.  The only stored
-    graph is `_index_graph()`, over these indices.  `neighbors` and
-    `adjacency` are views of it, and `degree_histogram`, `is_connected` and
-    `knight_distance` run on it.  Pickling drops the caches.
+    graph is the neighbour masks of `_index_graph()`, over these indices, and
+    every graph query below reads them.  Pickling drops the caches.
     """
 
     __slots__ = ("sides", "holes", "_weights", "_box_size", "_cache")
@@ -263,8 +259,8 @@ class Board:
 
     def degree_histogram(self) -> dict[int, int]:
         """Map degree -> number of non-hole vertices with that degree."""
-        nbrs, _, full = self._index_graph()
-        return dict(sorted(Counter(len(nbrs[i]) for i in _bits(full)).items()))
+        _, masks, full = self._index_graph()
+        return dict(sorted(Counter(masks[i].bit_count() for i in _bits(full)).items()))
 
     def is_connected(self) -> bool:
         """True iff the knight graph on non-hole vertices is connected."""
@@ -318,13 +314,12 @@ class Board:
             self._cache["dark_mask"] = mask
         return mask
 
-    def _index_graph(self) -> tuple[list[tuple[int, ...]], list[int], int]:
+    def _index_graph(self) -> tuple[_Rows, list[int], int]:
         """The knight graph over mixed-radix indices (cached).
 
-        Returns (neighbor index tuples, neighbor bitmasks, bitmask of all
-        non-hole indices); the lists are indexed by cell index and hold ()
-        and 0 at holes, and each tuple lists its mask's bits in increasing,
-        hence lexicographic, order.
+        Returns (neighbour index tuples, neighbour bitmasks, bitmask of all
+        non-hole indices), indexed by cell index and empty at holes.  Only the
+        masks are stored: a tuple is decoded, in increasing order, when read.
 
         The masks are composed axis by axis rather than enumerated per cell.
         A move's squared length is the sum of its per-axis squares, each 0, 1
@@ -337,16 +332,14 @@ class Board:
                                         tables[t - d * d][r] << (c + d) * width
 
         and the outermost axis needs only t = 5.  Boxes larger than
-        `_MAX_CELLS` cells, or whose graph is estimated at more than
-        `_MAX_GRAPH_BYTES`, are refused before anything is allocated.
+        `_MAX_CELLS` cells, or whose masks, tables and row lists `_graph_bytes`
+        bounds above `_MAX_GRAPH_BYTES`, are refused before anything is allocated.
         """
         graph = self._cache.get("index_graph")
         if graph is not None:
             return graph
         self._cells()  # refuses huge boxes before the estimate below
-        # mask i is as wide as its highest neighbour index, n/2 bits on average;
-        # each neighbour tuple entry is an 8-byte reference
-        size = self._box_size**2 // 16 + 8 * _entry_count(self.sides)
+        size = _graph_bytes(self.sides)
         if size > _MAX_GRAPH_BYTES:
             raise ValueError(
                 f"the knight graph of the {format_sides(self.sides)} box would take "
@@ -374,15 +367,12 @@ class Board:
         masks = tables[5]
         full = (1 << self._box_size) - 1
         if self.holes:
-            holes = [self.index(h) for h in self.holes]
-            for h in holes:
+            for h in map(self.index, self.holes):
                 full ^= 1 << h
-            masks = [m & full for m in masks]
-            for h in holes:
                 masks[h] = 0
-        cells = list(range(self._box_size))  # one shared int object per index
-        nbrs = [_set_bits(m, cells) for m in masks]
-        graph = (nbrs, masks, full)
+            for i, m in enumerate(masks):  # in place: no second list of masks
+                masks[i] = m & full
+        graph = (_Rows(masks), masks, full)
         self._cache["index_graph"] = graph
         return graph
 

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, strategies as st
 from eknight.board import (
     _MAX_GRAPH_BYTES,
     Board,
-    _entry_count,
+    _graph_bytes,
     is_knight_move,
     parse_board_text,
     parse_sides,
@@ -53,15 +55,53 @@ def test_graph_refuses_a_box_too_large_to_enumerate():
 
 
 def test_graph_refuses_a_graph_too_large_to_build():
-    # both boxes pass the cell guard but their masks or entries do not fit
-    for sides, cells in (([1000, 1000], 10**6), ([2] * 16, 2**16)):
+    # both boxes pass the cell guard but their graph builds do not fit
+    for sides in ([1000, 1000], [2] * 16):
         board = Board(sides)
-        assert cells**2 // 16 + 8 * _entry_count(board.sides) > _MAX_GRAPH_BYTES
+        assert _graph_bytes(board.sides) > _MAX_GRAPH_BYTES
         with pytest.raises(ValueError, match="knight graph .* would take about"):
             board.is_connected()
     for sides in ([3] * 9, [2] * 14, [3] * 10, [2] * 15):
-        cells = Board(sides).box_size
-        assert cells**2 // 16 + 8 * _entry_count(tuple(sides)) <= _MAX_GRAPH_BYTES
+        assert _graph_bytes(tuple(sides)) <= _MAX_GRAPH_BYTES
+
+
+_PEAK_SCRIPT = """
+import tracemalloc
+from eknight.board import Board, _graph_bytes
+for sides, holes in {boards!r}:
+    tracemalloc.start()
+    Board(sides, holes)._index_graph()
+    peak, bound = tracemalloc.get_traced_memory()[1], _graph_bytes(tuple(sides))
+    tracemalloc.stop()
+    print(peak, bound)
+    if peak > bound:  # stop before a larger board's build grows further
+        break
+"""
+
+
+def test_graph_bytes_bounds_the_build():
+    # in a fresh interpreter, so that no graph built by another test counts;
+    # a graph that stored neighbour tuples beside its masks would exceed the
+    # bound, so the boards run smallest first
+    boards = [
+        ([3] * 7, []),
+        ([2] * 12, []),
+        ([20] * 3, []),
+        ([3] * 8, []),
+        ([3] * 8, [(1,) * 8]),
+        ([6] * 5, []),
+        ([2] * 14, []),
+    ]
+    script = _PEAK_SCRIPT.format(boards=boards)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for board, line in zip(boards, lines):
+        peak, bound = map(int, line.split())
+        assert peak <= bound, (board, peak, bound)
+    assert len(lines) == len(boards)
 
 
 def _brute_index_graph(board):
@@ -97,12 +137,13 @@ def test_index_graph_matches_brute_force():
     rng = random.Random(1357)
     boards += [random_board(rng, max_vertices=16) for _ in range(60)]
     for board in boards:
-        assert board._index_graph() == _brute_index_graph(board), board
+        rows, masks, full = board._index_graph()
+        assert (list(rows), masks, full) == _brute_index_graph(board), board
 
 
 def _graph_sha256(graph) -> str:
-    nbrs, masks, full = graph
-    digest = hashlib.sha256(repr(nbrs).encode())
+    rows, masks, full = graph
+    digest = hashlib.sha256(repr(list(rows)).encode())
     digest.update(repr(masks).encode())
     digest.update(repr(full).encode())
     return digest.hexdigest()
@@ -123,14 +164,30 @@ def test_index_graph_is_pinned(sides, sha256):
     assert _graph_sha256(Board(sides)._index_graph()) == sha256
 
 
+def _entry_count(sides: tuple[int, ...]) -> int:
+    """Neighbour entries of the hole-free box: ordered cell pairs 5 apart.
+
+    An axis of side s holds s ordered coordinate pairs at squared distance 0,
+    2(s - 1) at 1 and 2(s - 2) at 4, so the count is the x^5 coefficient of
+    the product over the axes of s + 2(s - 1)x + 2(s - 2)x^4.
+    """
+    pairs = [1, 0, 0, 0, 0, 0]  # pairs[t]: ordered pairs at squared distance t
+    for s in sides:
+        axis = ((0, s), (1, 2 * (s - 1)), (4, max(0, 2 * (s - 2))))
+        pairs = [sum(pairs[t - sq] * ways for sq, ways in axis if sq <= t) for t in range(6)]
+    return pairs[5]
+
+
 def test_entry_count_matches_built_graph():
+    # the pair-count polynomial is an independent count of the composed masks
     rng = random.Random(97531)
     for _ in range(40):
         sides = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 7)))
         board = Board(sides)
         if board.box_size > 3000:
             continue
-        assert _entry_count(sides) == sum(map(len, board._index_graph()[0])), sides
+        _, masks, _ = board._index_graph()
+        assert _entry_count(sides) == sum(m.bit_count() for m in masks), sides
 
 
 def test_dark_mask_matches_per_cell_parity():

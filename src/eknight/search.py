@@ -15,27 +15,49 @@ that does not exhaust.  A budgeted run is always sequential, so one node
 budget is spent across its branches in order and a pool never carries one.
 Every tour and longest path leaves through `tour._checked`, the verifier.
 
-Pruning only cuts branches that provably cannot finish:
+Pruning only cuts branches that provably cannot finish, and each cut has a
+witness a checker can test on its own:
 
-  * some unvisited vertex is unreachable from the path head,
-  * too many unvisited vertices are down to <= 1 usable connection
-    (an open tour tolerates one such vertex, the final one; a closed tour
-    tolerates none),
+  * some unvisited vertex is unreachable from the path head (witness: that
+    vertex),
+  * too many unvisited vertices are down to <= 1 usable connection: an open
+    tour tolerates one such vertex, the final one, a closed tour none
+    (witness: the vertices), or
   * the dark/light split of the unvisited vertices cannot alternate long
-    enough to cover them all (every knight move switches color), or
-  * a closed tour's start has no unvisited neighbour left, so the last
-    vertex cannot close the cycle.
+    enough to cover them all, since every knight move switches color
+    (witness: the two counts).
 
 An exhausted search is therefore a nonexistence proof.  Closed-tour searches
 fix the start vertex and keep only the traversal direction whose second
 vertex is lexicographically smaller than its last, which halves the cycle
-space without losing any cycle.
+space without losing any cycle.  What remains of a closed tour below a node
+is a path from the head through every unvisited vertex to the start.  An
+unvisited vertex with exactly two usable neighbours (among the unvisited
+vertices, the head and the start) must use both edges: it is forced.  So a
+closed search also cuts when
 
-The reachability and degree checks are incremental.  A step from head p to
-head h takes only p out of the graph, so a node whose parent passed its
-checks re-examines only p's unvisited neighbours (their degrees, and whether
-h still reaches them all) and carries the parent's weak cells forward.  The
-verdicts equal those of a full rescan, which only the root makes.
+  * no unvisited neighbour of the start lies above the second vertex, so no
+    last vertex can close the cycle in the kept direction; at the root any
+    unvisited neighbour will do (witness: the start and the second vertex),
+  * the head has two forced neighbours, though it has one edge left
+    (witness: the head and the two),
+  * the start has two forced neighbours, three at the root where it has two
+    edges left (witness: the start and its forced neighbours),
+  * an unvisited vertex has three forced neighbours (witness: that vertex
+    and the three), or
+  * the start's one forced neighbour, which must be the last vertex, lies
+    below the second vertex (witness: the start, that neighbour and the
+    second vertex).
+
+A head with exactly one forced neighbour has no other successor to try.
+
+The reachability, degree and forced-edge checks are incremental.  A step
+from head p to head h takes only p out of the graph, so a node whose parent
+passed its checks re-examines only p's unvisited neighbours (their degrees,
+and whether h still reaches them all), carries the parent's weak or forced
+vertices forward, and counts forced neighbours only next to newly forced
+vertices.  The verdicts equal those of a full rescan, which only the root
+makes.
 """
 
 from __future__ import annotations
@@ -136,43 +158,51 @@ def _prunable(
     dark_mask: int,
     visited: int,
     head: int,
-    start: int | None,
+    ends: tuple[int, int] | None,
     parent: tuple[int, int] | None,
-) -> int | None:
+) -> tuple[int, int] | None:
     """None if no completion can exist below this node (sound, never lossy).
 
-    Otherwise the node's weak mask: the unvisited cells down to one usable
-    neighbour.  start is the cycle anchor for closed targets, None for open
-    targets.  parent is (previous head, its weak mask) when the previous node
-    passed this check, else None.  With a parent only the cells next to the
-    previous head are examined again; without one every unvisited cell is.
-    Both give the same verdict and the same weak mask.
+    Otherwise the node's state (tight, lone).  tight holds the unvisited cells
+    at their degree limit: down to one usable neighbour for open targets (at
+    most one, the final vertex), down to exactly two for closed targets (both
+    edges forced).  lone is the head's one forced neighbour as a bit mask, or
+    0.  ends is None for open targets; for closed targets it is (start,
+    second), second being the path's second vertex, or -1 at the root.
+    parent is (previous head, its tight mask) when the previous node passed
+    this check, else None.  With a parent only the cells next to the previous
+    head, and the cells next to newly forced ones, are examined again; without
+    one every unvisited cell is.  Both give the same verdict and state.
     """
     rest = full & ~visited
     if rest == 0:
-        return 0
+        return 0, 0
     head_dark = bool(dark_mask >> head & 1)
-    if start is None:
+    if ends is None:
+        start = None
         if _alternation_bound(dark_mask, rest, head_dark) < rest.bit_count():
             return None
     else:
-        # the last vertex comes from rest and must close onto start
-        if not masks[start] & rest:
+        start, second = ends
+        # the last vertex comes from rest, closes onto start and, by the
+        # direction rule, lies above the second vertex
+        late = masks[start] & rest & -(1 << (second + 1))
+        if not late:
             return None
         cells = rest | (1 << start)
         if _alternation_bound(dark_mask, cells, head_dark) < rest.bit_count() + 1:
             return None
     if parent is None:
         scan = rest
-        weak = 0
+        tight = 0
     else:
         # Stepping from p to head takes p out of the usable cells (unless p
         # is the closed-tour start), so only p's neighbours can lose degree.
         # p reached all of rest | head, so each component of rest | head
         # holds a neighbour of p: it is connected once head reaches them all.
-        p, weak = parent
+        p, tight = parent
         scan = masks[p] & rest
-        weak &= rest
+        tight &= rest
     # breadth-first from head inside rest, until it has reached all of scan
     unseen = rest
     frontier = 1 << head
@@ -184,15 +214,37 @@ def _prunable(
     anchor = rest | (1 << head)
     if start is not None:
         anchor |= 1 << start
+    fresh = 0
     for u in _bits(scan):
         degree = (masks[u] & anchor).bit_count()
         if degree < 2:
             if start is not None or degree == 0:
                 return None
-            weak |= 1 << u
-            if weak & (weak - 1):
+            tight |= 1 << u
+            if tight & (tight - 1):
                 return None
-    return weak
+        elif degree == 2 and start is not None:
+            # the rest of a closed tour is a path head -> rest -> start, so
+            # both edges of this cell are forced
+            fresh |= 1 << u
+    if start is None:
+        return tight, 0
+    tight |= fresh
+    # a cell of rest takes two edges, so three forced ones are too many; only
+    # the cells next to newly forced ones can have gained one
+    for u in _bits(_spread(masks, fresh) & rest):
+        if (masks[u] & tight).bit_count() > 2:
+            return None
+    last = masks[start] & tight
+    if head == start:
+        # the root: start takes two edges, to the second and the last vertex
+        return None if last.bit_count() > 2 else (tight, 0)
+    # head and start take one edge each, and a forced neighbour of start is
+    # the last vertex, so it must lie above the second
+    lone = masks[head] & tight
+    if lone & (lone - 1) or last & (last - 1) or last & ~late:
+        return None
+    return tight, lone
 
 
 def _ordered_successors(
@@ -258,18 +310,24 @@ def _search_branch(
     """
     masks, full, dark_mask, n, closed, use_warnsdorff = run
     start, first = branch
-    anchor = start if closed else None
+    ends = (start, -1) if closed else None
 
-    # depth -> (head, weak mask) of the path node at that depth that passed
+    # depth -> (head, tight mask) of the path node at that depth that passed
     # _prunable; a child reads its parent's entry
     checked: dict[int, tuple[int, int]] = {}
 
     def expand(head: int, visited: int) -> list[int]:
+        nonlocal ends
         depth = visited.bit_count()
-        weak = _prunable(masks, full, dark_mask, visited, head, anchor, checked.get(depth - 1))
-        if weak is None:
+        if closed and depth == 2:
+            ends = (start, head)
+        state = _prunable(masks, full, dark_mask, visited, head, ends, checked.get(depth - 1))
+        if state is None:
             return []
-        checked[depth] = head, weak
+        tight, lone = state
+        checked[depth] = head, tight
+        if lone:
+            return [lone.bit_length() - 1]
         if depth == 1 and first is not None:
             return [first]
         return _ordered_successors(masks, head, visited, use_warnsdorff, rng)

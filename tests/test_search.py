@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import multiprocessing
@@ -10,6 +11,7 @@ import pytest
 
 import eknight.search
 from eknight.board import Board, _bits
+from eknight.feasibility import classical_closed_tour_condition
 from eknight.search import (
     SearchConfig,
     SearchStatus,
@@ -301,11 +303,93 @@ def test_oracle_agreement_on_random_boards():
                 assert (plain.status is SearchStatus.FOUND) == expected
 
 
-def test_oracle_agreement_without_precheck():
-    # the DFS prune rules alone decide here, the closed-tour anchor rule included
+def _closed_cut_rules(masks, full, dark_mask, visited, head, ends):
+    """The closed-search prune rules whose witness holds at a node, on sets.
+
+    Also returns the forced cells (those with two usable neighbours) and the
+    head's forced neighbours.
+    """
+    start, second = ends
+    nbrs = [set(_bits(m)) for m in masks]
+    rest = set(_bits(full & ~visited))
+    usable = rest | {head, start}
+    rules = set()
+    reach, frontier = {head}, [head]
+    while frontier:
+        frontier = [w for u in frontier for w in nbrs[u] & rest if w not in reach]
+        reach.update(frontier)
+    if not rest <= reach:
+        rules.add("unreachable")
+    degree = {u: len(nbrs[u] & usable) for u in rest}
+    if min(degree.values()) < 2:
+        rules.add("degree")
+    # head -> rest -> start alternates colours from the colour opposite head's
+    cells = rest | {start}
+    opposite = sum((dark_mask >> u & 1) != (dark_mask >> head & 1) for u in cells)
+    if opposite != (len(cells) + 1) // 2:
+        rules.add("alternation")
+    if not nbrs[start] & rest:
+        rules.add("anchor")
+    if not {u for u in nbrs[start] & rest if u > second}:
+        rules.add("direction")
+    forced = {u for u in rest if degree[u] == 2}
+    if any(len(nbrs[u] & forced) > 2 for u in rest):
+        rules.add("cell with three forced")
+    root = head == start
+    if not root and len(nbrs[head] & forced) > 1:
+        rules.add("head with two forced")
+    last = nbrs[start] & forced
+    if root and len(last) > 2:
+        rules.add("start with three forced at the root")
+    if not root and len(last) > 1:
+        rules.add("start with two forced")
+    if not root and len(last) == 1 and min(last) < second:
+        rules.add("forced last below second")
+    lone = set() if root else nbrs[head] & forced
+    return rules, forced, lone
+
+
+# the rules that follow from the cycle's fixed ends: the direction rule and
+# the forced-edge rules; the others are reachability, degree, alternation and
+# the anchor rule
+ENDS_RULES = {
+    "direction",
+    "cell with three forced",
+    "head with two forced",
+    "start with three forced at the root",
+    "start with two forced",
+    "forced last below second",
+}
+
+
+def test_oracle_agreement_without_precheck(monkeypatch):
+    # the DFS prune rules alone decide here, the closed-tour rules included.
+    # Every closed node's verdict, forced cells and forced successor are also
+    # checked against the rules stated on sets, and each of ENDS_RULES must
+    # cut some node that no other kind of rule cuts, so that the brute-force
+    # oracle's agreement rests on its soundness.  On the random boards the
+    # rules on forced neighbours of the head, the start and an unvisited cell
+    # never do; on the two fixed boards they do.
+    prunable = eknight.search._prunable
+    fired = collections.Counter()
+
+    def checked(masks, full, dark_mask, visited, head, ends, parent):
+        got = prunable(masks, full, dark_mask, visited, head, ends, parent)
+        if ends is not None and full & ~visited:
+            rules, forced, lone = _closed_cut_rules(masks, full, dark_mask, visited, head, ends)
+            assert (got is None) == bool(rules), rules
+            if got is None and rules <= ENDS_RULES:
+                fired.update(rules)
+            if got is not None:
+                assert got == (sum(1 << u for u in forced), sum(1 << u for u in lone))
+                fired["forced successor"] += bool(lone)
+        return got
+
+    monkeypatch.setattr(eknight.search, "_prunable", checked)
     rng = random.Random(31415)
-    for i in range(80):
-        board = random_board(rng)
+    boards = [random_board(rng) for _ in range(80)]
+    boards += [Board([4, 4], holes=[(0, 0), (3, 2)]), Board([3, 5], holes=[(1, 1)])]
+    for i, board in enumerate(boards):
         for target in (TourKind.OPEN, TourKind.CLOSED):
             outcome = find_tour(
                 board, SearchConfig(target=target, use_feasibility_precheck=False)
@@ -313,19 +397,31 @@ def test_oracle_agreement_without_precheck():
             assert (outcome.status is SearchStatus.FOUND) == tour_exists(board, target), (
                 i, board, target,
             )
+    # no start that is the first cell has three forced neighbours on boards
+    # this small, so the root rule needs an explicit start
+    board = Board([3, 6], holes=[(0, 0), (1, 0)])
+    config = SearchConfig(target=TourKind.CLOSED, start=(1, 3), use_feasibility_precheck=False)
+    assert find_tour(board, config).status is SearchStatus.EXHAUSTED_NONE
+    assert not tour_exists(board, TourKind.CLOSED)
+    assert all(fired[rule] for rule in ENDS_RULES | {"forced successor"}), fired
 
 
 def test_incremental_prune_matches_full_scan(monkeypatch):
     # every node checked against its parent gets the full scan's verdict and
-    # weak mask too, in whole searches and in forced-first closed branches
+    # state too, in whole searches and in forced-first closed branches: the
+    # weak mask of an open search, the degree-2 mask and the forced successor
+    # of a closed one
     prunable = eknight.search._prunable
     compared = []
+    closed_states = []
 
-    def both(masks, full, dark_mask, visited, head, start, parent):
-        got = prunable(masks, full, dark_mask, visited, head, start, parent)
+    def both(masks, full, dark_mask, visited, head, ends, parent):
+        got = prunable(masks, full, dark_mask, visited, head, ends, parent)
         if parent is not None:
-            assert got == prunable(masks, full, dark_mask, visited, head, start, None)
-            compared.append(start is None)
+            assert got == prunable(masks, full, dark_mask, visited, head, ends, None)
+            compared.append(ends is None)
+            if ends is not None and got is not None:
+                closed_states.append(got)
         return got
 
     monkeypatch.setattr(eknight.search, "_prunable", both)
@@ -336,6 +432,8 @@ def test_incremental_prune_matches_full_scan(monkeypatch):
         for target in (TourKind.OPEN, TourKind.CLOSED):
             find_tour(board, SearchConfig(target=target, use_feasibility_precheck=False))
     assert compared.count(True) > 1000 and compared.count(False) > 1000
+    assert any(forced for forced, _ in closed_states)
+    assert any(lone for _, lone in closed_states)
     compared.clear()
     for board in boards:
         # the closed branches a parallel search hands its workers, run in-process
@@ -367,7 +465,7 @@ def test_closed_tour_on_six_cube_minus_centre():
     # the colours); the closing link counts among the 728 links
     outcome = find_tour(Board([3] * 6, holes=[(1,) * 6]), SearchConfig(target=TourKind.CLOSED))
     assert outcome.status is SearchStatus.FOUND
-    assert outcome.nodes_expanded == 743
+    assert outcome.nodes_expanded == 739
     assert outcome.tour.report().valid
     vertices = outcome.tour.vertices
     kinds = [classify_move(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
@@ -393,6 +491,25 @@ def test_closed_verdicts_match_schwenk_theorem():
             assert outcome.status in (SearchStatus.FOUND, SearchStatus.EXHAUSTED_NONE)
             found = outcome.status is SearchStatus.FOUND
             assert found == _schwenk_closed(m, n), (m, n, precheck)
+
+
+def test_closed_verdicts_of_small_boxes_match_the_classical_condition():
+    # below 5 axes the knight has only its classical moves, so the criterion
+    # decides every 3D box; the budget makes a regression fail, not hang
+    boxes = [
+        (a, b, c)
+        for a in range(2, 5) for b in range(a, 17) for c in range(b, 17) if a * b * c <= 64
+    ]
+    assert len(boxes) == 38
+    for sides in boxes:
+        for precheck in (True, False):
+            config = SearchConfig(
+                target=TourKind.CLOSED, node_budget=50_000, use_feasibility_precheck=precheck
+            )
+            outcome = find_tour(Board(sides), config)
+            assert outcome.status in (SearchStatus.FOUND, SearchStatus.EXHAUSTED_NONE), sides
+            found = outcome.status is SearchStatus.FOUND
+            assert found == classical_closed_tour_condition(sides), (sides, precheck)
 
 
 def test_infeasible_verdicts_are_sound():
@@ -459,15 +576,40 @@ def test_longest_path_matches_oracle_best():
 PINNED_SEARCHES = {
     "closed 5x6": (
         lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED)),
-        ("found", 1459, 30, "5143bc80de82cbe2"),
+        ("found", 562, 30, "5143bc80de82cbe2"),
     ),
     "closed 3x10": (
         lambda: find_tour(Board([3, 10]), SearchConfig(target=TourKind.CLOSED)),
-        ("found", 1536, 30, "3c8efbe1a36b0344"),
+        ("found", 41, 30, "3c8efbe1a36b0344"),
     ),
     "closed 4x7 proof": (
         lambda: prove_nonexistence(Board([4, 7]), TourKind.CLOSED),
-        ("exhausted_none", 4800, 20, None),
+        ("exhausted_none", 411, 16, None),
+    ),
+    "closed 4x8 proof": (
+        lambda: prove_nonexistence(Board([4, 8]), TourKind.CLOSED),
+        ("exhausted_none", 1836, 23, None),
+    ),
+    "closed 4x9 proof": (
+        lambda: prove_nonexistence(Board([4, 9]), TourKind.CLOSED),
+        ("exhausted_none", 10818, 29, None),
+    ),
+    "closed 3x3x6 plain": (
+        # the start's two forced neighbours cut here, as on no board above
+        lambda: find_tour(Board([3, 3, 6]), SearchConfig(target=TourKind.CLOSED,
+                                                         use_warnsdorff=False)),
+        ("found", 2096, 54, "893fbf70d3d53d88"),
+    ),
+    "closed 3x6 less two cells from (1, 3)": (
+        # three forced neighbours of the start cut at the root
+        lambda: find_tour(Board([3, 6], holes=[(0, 0), (1, 0)]),
+                          SearchConfig(target=TourKind.CLOSED, start=(1, 3))),
+        ("exhausted_none", 1, 1, None),
+    ),
+    "closed 5x4 less two cells proof": (
+        # the start's forced neighbour lies below the second vertex
+        lambda: prove_nonexistence(Board([5, 4], holes=[(0, 0), (4, 1)]), TourKind.CLOSED),
+        ("exhausted_none", 17, 8, None),
     ),
     "open 4x4 budget 300": (
         # the budget runs out several start branches in
@@ -484,7 +626,7 @@ PINNED_SEARCHES = {
     ),
     "closed 5x6 parallel 2": (
         lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED, parallel_width=2)),
-        ("found", 1459, 30, "5143bc80de82cbe2"),
+        ("found", 562, 30, "5143bc80de82cbe2"),
     ),
 }
 

@@ -13,11 +13,18 @@ k-cube for every k >= 6.  No tour exists below that: 0/1 coordinates only
 admit the five-axis unit move, which needs k >= 5, and on the 5-cube every
 cell has exactly one target (its antipode minus nothing to spare), leaving a
 perfect matching instead of a connected graph.
+
+The step works on the tour packed as byte columns, one per axis, each
+holding every vertex's 0/1 coordinate on that axis in tour order: a column's
+mirrored half is the column reversed, translated 0 <-> 1 on the flipped
+axes, and the new axis is n zero bytes then n one bytes.  Vertex tuples are
+built once, from the last level's columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from . import corpus
 from .board import Board, Vertex
@@ -37,17 +44,23 @@ def _validate_mask(mask: Iterable[int], dimension: int) -> tuple[int, ...]:
     return axes
 
 
-def _flip(v: Vertex, axes: tuple[int, ...]) -> Vertex:
-    w = list(v)
-    for a in axes:
-        w[a] = 1 - w[a]
-    return tuple(w)
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _double(vertices: tuple[Vertex, ...], axes: tuple[int, ...]) -> tuple[Vertex, ...]:
-    """One doubling step on a plain vertex sequence, unchecked."""
-    mirrored = [_flip(v, axes) + (1,) for v in reversed(vertices)]
-    return tuple([v + (0,) for v in vertices] + mirrored)
+def _columns(vertices: Sequence[Vertex], k: int) -> list[bytes]:
+    """The axis columns of a tour whose coordinates are ints 0..255."""
+    rows = bytes(chain.from_iterable(vertices))
+    return [rows[a::k] for a in range(k)]
+
+
+def _double(columns: list[bytes], axes: tuple[int, ...]) -> list[bytes]:
+    """One doubling step on a tour's axis columns, unchecked."""
+    doubled = []
+    for a, column in enumerate(columns):
+        mirrored = column[::-1]
+        doubled.append(column + (mirrored.translate(_FLIP) if a in axes else mirrored))
+    n = len(columns[0])
+    return doubled + [bytes(n) + b"\x01" * n]
 
 
 def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
@@ -74,7 +87,11 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
             f"base tour fails closed verification: {report.first_violation.description}"
         )
     axes = _validate_mask(DEFAULT_FLIP_MASK if mask is None else mask, k)
-    vertices = _double(base.vertices, axes)
+    try:
+        columns = _columns(base.vertices, k)
+    except TypeError:  # a float or other non-int coordinate
+        raise ValueError("base tour coordinates must be integers") from None
+    vertices = tuple(zip(*_double(columns, axes)))
     return _checked(Tour(result, TourKind.CLOSED, vertices))
 
 
@@ -84,7 +101,7 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
     k == 6 returns the embedded base tour; larger k iterates the doubling
     step, flipping the default axes (or masks[i] at step i when given,
     len(masks) == k - 6).  Only the returned tour is verified: the
-    intermediate levels are plain vertex sequences.
+    intermediate levels are byte columns.
     """
     return _checked(_hypercube_tour(k, masks))
 
@@ -99,8 +116,8 @@ def _hypercube_tour(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tou
         raise ValueError(f"need {k - 6} masks to reach dimension {k}, got {len(masks)}")
     board = Board([2] * k)
     board._cells()  # refuses a cube too large to enumerate before doubling
-    vertices = corpus.get(corpus.PC_2_6).vertices
+    columns = _columns(corpus.get(corpus.PC_2_6).vertices, 6)
     for level in range(k - 6):
         mask = DEFAULT_FLIP_MASK if masks is None else masks[level]
-        vertices = _double(vertices, _validate_mask(mask, 6 + level))
-    return Tour(board, TourKind.CLOSED, vertices)
+        columns = _double(columns, _validate_mask(mask, 6 + level))
+    return Tour(board, TourKind.CLOSED, tuple(zip(*columns)))

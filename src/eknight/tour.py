@@ -15,6 +15,17 @@ coverage, closure; the first is the report's.  Membership and link checks
 run one axis at a time on the coordinates packed into bytes, with each
 link's squared and taxicab lengths summed in lanes of one big integer; input
 the packing cannot hold takes a per-link fallback with the same results.
+
+A tour file is a header (`board:`, `hole:` and `kind:` lines) followed by
+one vertex line per entry.  Its vertex block is canonical when every line
+holds exactly k one-digit fields joined by commas and ends in `\n`, with no
+blank, comment or other line: 2k bytes per vertex, digits at even offsets.
+`serialize_tour` writes such a block whenever every coordinate is an int
+0..9, and `parse_tour` decodes one, in a few `bytes` operations over the
+whole block.  Other vertices are written one line at a time, and other text
+is read one line at a time up to the line holding its last character that
+is not a digit, comma or newline.  Both paths give the same text, vertices
+and errors.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import lt
+from operator import countOf, lt
 
 from .board import (
     KNIGHT_SQUARED_LENGTH,
@@ -162,11 +173,16 @@ def verify(
     n = len(vs)
     first, last = vs[0], vs[-1]
     near = claimed is TourKind.NEAR_CLOSED
-    counts = Counter(vs)
+    at = dict(zip(vs, range(n)))  # each vertex's last position
+    seen: dict[Vertex, int] = {}  # visits of each repeated vertex
     repeats: list[Violation] = []
-    if len(counts) < n:  # only the repeated vertices are walked
-        seen = dict.fromkeys(compress(counts, map((1).__lt__, counts.values())), 0)
-        for i in _marked(bytes(map(seen.__contains__, vs))):
+    if len(at) < n:  # only the repeated vertices are walked
+        again = bytearray(b"\x01") * n  # 1 where the vertex comes again later
+        for i in at.values():
+            again[i] = 0
+        earlier = _marked(again)
+        seen = dict.fromkeys(map(vs.__getitem__, earlier), 0)
+        for i in sorted(chain(earlier, map(at.__getitem__, seen))):
             v = vs[i]
             c = seen[v] = seen[v] + 1
             if c > 1 and not near:
@@ -191,10 +207,10 @@ def verify(
             tail.append(Violation(end, message))
         # the final return to the start closes the walk; it is not a visit
         tail += [r for r in repeats if r.index != end]
-        twice = list(counts.values()).count(2) - (counts[first] == 2)
+        twice = list(seen.values()).count(2) - (seen.get(first) == 2)
         if twice != 1:
             tail.append(Violation(end, f"{twice} vertices visited twice (exactly one required)"))
-        covered = len(counts) if n > 1 else 0
+        covered = len(at) if n > 1 else 0
         if covered != total:
             tail.append(Violation(end, f"covers {covered} of {total} board vertices"))
     if claimed is TourKind.CLOSED:
@@ -279,6 +295,52 @@ def _packed_checks(
     return sorted(outside), _marked(packed[0::3].translate(_NOT_KNIGHT)), taxicab
 
 
+# The canonical vertex block: one line per vertex, each coordinate one decimal
+# digit, so a vertex of k coordinates takes 2k bytes: digits at even offsets,
+# k - 1 commas and a newline at odd ones.
+_DIGIT_OF = bytes(48 + b if b < 10 else 0 for b in range(256))  # above 9: NUL, not a digit
+_VALUE_OF = bytes(b - 48 if 48 <= b < 58 else 128 for b in range(256))  # not a digit: 128
+
+
+def _separators(n: int, k: int) -> bytes:
+    """The odd-offset bytes of a canonical block of n vertices with k coordinates."""
+    return (b"," * (k - 1) + b"\n") * n
+
+
+def _canonical_vertices(text: str, start: int, k: int) -> list[Vertex] | None:
+    """The vertices of text[start:], which holds only digits, commas and
+    newlines, when it is a canonical vertex block; else None."""
+    raw = text[start:].encode("ascii")
+    n, rest = divmod(len(raw), 2 * k)
+    if rest or raw[1::2] != _separators(n, k):
+        return None
+    values = raw[0::2].translate(_VALUE_OF)
+    del raw  # the tuples need only the values: free the block before building them
+    if not values.isascii():  # a comma or newline where a digit belongs
+        return None
+    return list(zip(*[iter(values)] * k))
+
+
+def _canonical_block(vertices: list[Vertex] | tuple[Vertex, ...], k: int) -> str | None:
+    """The vertex lines as text when every coordinate is an int 0..9, else None."""
+    if any(map(k.__ne__, map(len, vertices))):
+        return None
+    try:
+        rows = bytes(chain.from_iterable(vertices))
+    except (TypeError, ValueError):  # not an integer, or outside 0..255
+        return None
+    digits = rows.translate(_DIGIT_OF)
+    if not digits.isdigit():  # a coordinate above 9, or no vertices
+        return None
+    # a bool or another int subclass may print otherwise than its value
+    if countOf(map(type, chain.from_iterable(vertices)), int) != len(rows):
+        return None
+    block = bytearray(2 * len(rows))
+    block[0::2] = digits
+    block[1::2] = _separators(len(vertices), k)
+    return block.decode("ascii")
+
+
 class TourParseError(ValueError):
     """Tour file syntax error, carrying the 1-based line number."""
 
@@ -288,39 +350,52 @@ class TourParseError(ValueError):
 
 
 def parse_tour(text: str) -> tuple[Board, TourKind, list[Vertex]]:
-    """Parse the tour file format; round-trips with serialize_tour."""
+    """Parse the tour file format; round-trips with serialize_tour.
+
+    The text is cut after the line holding its last character that is not a
+    digit, a comma or a newline: in a canonical file, the `kind:` line.  The
+    lines up to the cut go through the per-line loop, the only source of
+    TourParseError.  If the header is complete there and the rest is a
+    canonical vertex block, the rest is decoded in bulk; otherwise it goes
+    through the per-line loop too.
+    """
     sides: tuple[int, ...] | None = None
     holes: list[Vertex] = []
     kind: TourKind | None = None
     vertices: list[Vertex] = []
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if kind is not None:  # vertex lines are almost every line
-                v = parse_vertex(line)
-                if len(v) != len(sides):
-                    raise ValueError(
-                        f"vertex {v} has {len(v)} coordinates, board has {len(sides)}"
-                    )
-                vertices.append(v)
-            elif sides is None:
-                if not line.startswith("board:"):
-                    raise ValueError("expected 'board: n1 x n2 x ... x nk'")
-                sides = parse_sides(line[len("board:"):])
-            elif line.startswith("hole:"):
-                holes.append(_parse_hole(line[len("hole:"):], sides))
-            elif line.startswith("kind:"):
-                value = line[len("kind:"):].strip()
-                if value not in {k.value for k in TourKind}:
-                    raise ValueError(f"unknown tour kind {value!r}")
-                kind = TourKind(value)
-            else:
-                raise ValueError("expected 'kind: open|closed|near_closed|path'")
-        except ValueError as exc:
-            raise TourParseError(lineno, str(exc)) from None
+    cut = text.find("\n", len(text.rstrip("0123456789,\n"))) + 1 or len(text)
+    for start, stop in ((0, cut), (cut, len(text))):
+        if kind is not None and (bulk := _canonical_vertices(text, start, len(sides))) is not None:
+            vertices += bulk
+            break
+        for lineno, raw in enumerate(text[start:stop].splitlines(), lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                if kind is not None:  # vertex lines are almost every line
+                    v = parse_vertex(line)
+                    if len(v) != len(sides):
+                        raise ValueError(
+                            f"vertex {v} has {len(v)} coordinates, board has {len(sides)}"
+                        )
+                    vertices.append(v)
+                elif sides is None:
+                    if not line.startswith("board:"):
+                        raise ValueError("expected 'board: n1 x n2 x ... x nk'")
+                    sides = parse_sides(line[len("board:"):])
+                elif line.startswith("hole:"):
+                    holes.append(_parse_hole(line[len("hole:"):], sides))
+                elif line.startswith("kind:"):
+                    value = line[len("kind:"):].strip()
+                    if value not in {k.value for k in TourKind}:
+                        raise ValueError(f"unknown tour kind {value!r}")
+                    kind = TourKind(value)
+                else:
+                    raise ValueError("expected 'kind: open|closed|near_closed|path'")
+            except ValueError as exc:
+                raise TourParseError(lineno, str(exc)) from None
     if sides is None:
         raise TourParseError(max(lineno, 1), "missing 'board:' header")
     if kind is None:
@@ -333,7 +408,14 @@ def parse_tour(text: str) -> tuple[Board, TourKind, list[Vertex]]:
 def serialize_tour(
     board: Board, kind: TourKind, vertices: list[Vertex] | tuple[Vertex, ...]
 ) -> str:
-    """Canonical tour file text; deterministic, never verifies."""
-    lines = [f"board: {serialize_board_text(board)}kind: {kind.value}"]
-    lines.extend(format_vertex(v) for v in vertices)
-    return "\n".join(lines) + "\n"
+    """Canonical tour file text; deterministic, never verifies.
+
+    When every coordinate is an int 0..9 and every vertex has the board's
+    dimension, the vertex lines are one canonical block built in `bytes`
+    operations; otherwise each line is formatted on its own.
+    """
+    header = f"board: {serialize_board_text(board)}kind: {kind.value}\n"
+    block = _canonical_block(vertices, board.dimension)
+    if block is None:
+        block = "".join(f"{format_vertex(v)}\n" for v in vertices)
+    return header + block

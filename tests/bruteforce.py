@@ -3,7 +3,11 @@
 Everything here recomputes adjacency from raw coordinate arithmetic so a bug
 in the library's neighbor generation cannot fool the oracle.
 `reference_verify` is the earlier four-pass verifier, the oracle for the
-packed, axis-by-axis `tour.verify`.
+packed, axis-by-axis `tour.verify`.  `reference_parse_tour`,
+`reference_serialize_tour` and `reference_double` are the per-line tour
+reader and writer and the tuple doubling step, the oracles for the bulk
+paths of `tour.parse_tour` and `tour.serialize_tour` and for the byte-column
+`construct._double`.
 """
 
 from __future__ import annotations
@@ -17,11 +21,15 @@ from eknight.board import (
     KNIGHT_SQUARED_LENGTH,
     Board,
     Vertex,
+    _parse_hole,
     format_vertex,
+    parse_sides,
+    parse_vertex,
+    serialize_board_text,
     squared_distance,
     taxicab_distance,
 )
-from eknight.tour import TourKind, VerificationReport, Violation
+from eknight.tour import TourKind, TourParseError, VerificationReport, Violation
 
 
 def sq5(a: Vertex, b: Vertex) -> bool:
@@ -240,3 +248,69 @@ def _reference_check_near_closed(board: Board, vertices: list[Vertex], add) -> N
             len(vertices) - 1,
             f"covers {len(counts)} of {board.vertex_count} board vertices",
         )
+
+
+def reference_parse_tour(text: str) -> tuple[Board, TourKind, list[Vertex]]:
+    """The per-line tour reader, every line parsed on its own."""
+    sides: tuple[int, ...] | None = None
+    holes: list[Vertex] = []
+    kind: TourKind | None = None
+    vertices: list[Vertex] = []
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if kind is not None:
+                v = parse_vertex(line)
+                if len(v) != len(sides):
+                    raise ValueError(
+                        f"vertex {v} has {len(v)} coordinates, board has {len(sides)}"
+                    )
+                vertices.append(v)
+            elif sides is None:
+                if not line.startswith("board:"):
+                    raise ValueError("expected 'board: n1 x n2 x ... x nk'")
+                sides = parse_sides(line[len("board:"):])
+            elif line.startswith("hole:"):
+                holes.append(_parse_hole(line[len("hole:"):], sides))
+            elif line.startswith("kind:"):
+                value = line[len("kind:"):].strip()
+                if value not in {k.value for k in TourKind}:
+                    raise ValueError(f"unknown tour kind {value!r}")
+                kind = TourKind(value)
+            else:
+                raise ValueError("expected 'kind: open|closed|near_closed|path'")
+        except ValueError as exc:
+            raise TourParseError(lineno, str(exc)) from None
+    if sides is None:
+        raise TourParseError(max(lineno, 1), "missing 'board:' header")
+    if kind is None:
+        raise TourParseError(max(lineno, 1), "missing 'kind:' line")
+    if not vertices:
+        raise TourParseError(max(lineno, 1), "tour has no vertices")
+    return Board(sides, holes), kind, vertices
+
+
+def reference_serialize_tour(
+    board: Board, kind: TourKind, vertices: list[Vertex] | tuple[Vertex, ...]
+) -> str:
+    """The per-line tour writer, one formatted line per vertex."""
+    lines = [f"board: {serialize_board_text(board)}kind: {kind.value}"]
+    lines.extend(format_vertex(v) for v in vertices)
+    return "\n".join(lines) + "\n"
+
+
+def reference_double(vertices: tuple[Vertex, ...], axes: tuple[int, ...]) -> tuple[Vertex, ...]:
+    """One doubling step on vertex tuples: the tour on the 0-face, then its
+    reversal with the mask's axes flipped on the 1-face."""
+
+    def flip(v: Vertex) -> Vertex:
+        w = list(v)
+        for a in axes:
+            w[a] = 1 - w[a]
+        return tuple(w)
+
+    mirrored = [flip(v) + (1,) for v in reversed(vertices)]
+    return tuple([v + (0,) for v in vertices] + mirrored)

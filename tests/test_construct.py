@@ -7,10 +7,15 @@ from eknight import corpus
 from eknight.board import Board
 from eknight.construct import (
     DEFAULT_FLIP_MASK,
+    _columns,
+    _double,
+    _hypercube_tour,
     closed_tour_on_hypercube,
     extend_closed_tour,
 )
 from eknight.tour import MoveKind, Tour, TourKind, classify_move
+
+from bruteforce import reference_double
 
 
 def _base():
@@ -99,6 +104,26 @@ def test_base_validation():
     broken[5], broken[9] = broken[9], broken[5]
     with pytest.raises(ValueError, match="verification"):
         extend_closed_tour(Tour(base.board, TourKind.CLOSED, tuple(broken)))
+    # verify reads 1.0 as 1, but the columns hold ints only
+    floats = tuple(tuple(map(float, v)) for v in base.vertices)
+    with pytest.raises(ValueError, match="^base tour coordinates must be integers$"):
+        extend_closed_tour(Tour(base.board, TourKind.CLOSED, floats))
+
+
+def test_doubling_matches_the_tuple_oracle():
+    rng = random.Random(15)
+    vertices = _base().vertices
+    masks = []
+    for k in range(6, 15):
+        assert _hypercube_tour(k, masks).vertices == vertices
+        mask = tuple(sorted(rng.sample(range(k), 4)))
+        doubled = reference_double(vertices, mask)
+        assert tuple(zip(*_double(_columns(vertices, k), mask))) == doubled
+        if k <= 9:
+            base = Tour(Board([2] * k), TourKind.CLOSED, vertices)
+            assert extend_closed_tour(base, mask).vertices == doubled
+        vertices = doubled
+        masks.append(mask)
 
 
 def test_hypercube_chain():
@@ -136,7 +161,7 @@ def test_hypercube_refuses_a_cube_too_large_to_enumerate(monkeypatch):
     import eknight.construct
     from eknight.cli import run
 
-    def no_doubling(vertices, axes):
+    def no_doubling(columns, axes):
         raise AssertionError("doubled a cube the guard should have refused")
 
     monkeypatch.setattr(eknight.construct, "_double", no_doubling)

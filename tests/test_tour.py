@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eknight import corpus
 import eknight.tour
@@ -25,7 +25,7 @@ from eknight.tour import (
     verify,
 )
 
-from bruteforce import reference_verify
+from bruteforce import reference_parse_tour, reference_serialize_tour, reference_verify
 
 
 def test_classify_move_examples():
@@ -266,6 +266,119 @@ def test_serialize_round_trips_corpus_files():
 def test_serialize_single_vertex():
     text = serialize_tour(Board([3, 3]), TourKind.PATH, [(0, 0)])
     assert text == "board: 3 x 3\nkind: path\n0,0\n"
+
+
+# field spellings int() reads or rejects that a canonical block never holds:
+# a sign, an underscore, a non-ASCII digit, two digits, a leading zero,
+# inner spaces, an empty field and a letter
+ODD_FIELDS = ["+1", "1_0", "\u0663", "10", "12", "07", " 2 ", "", "x"]
+
+
+@st.composite
+def tour_text(draw):
+    """Tour files with canonical vertex blocks and per-line deviations mixed in.
+
+    Lines may gain blanks, comments (ASCII or not), trailing spaces, odd
+    fields or a wrong field count after them; the text may use CRLF endings
+    and may lack its final newline.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    sides = [draw(st.integers(min_value=1, max_value=12)) for _ in range(k)]
+    lines = [f"board: {' x '.join(map(str, sides))}"]
+    if draw(st.booleans()):
+        lines.append("hole: " + ",".join(str(draw(st.integers(0, s - 1))) for s in sides))
+    lines.append("kind: " + draw(st.sampled_from([t.value for t in TourKind])))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        fields = [str(draw(st.integers(min_value=0, max_value=9))) for _ in range(k)]
+        roll = draw(st.integers(min_value=0, max_value=24))
+        if roll == 0:
+            fields[draw(st.integers(0, k - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        elif roll == 1:
+            fields.append("0")
+        elif roll == 2:
+            fields.pop()
+        lines.append(",".join(fields))
+        if roll == 3:
+            lines[-1] += "  "
+        elif roll == 4:
+            lines.append(draw(st.sampled_from(["", "# note", "# \u00fc"])))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "# header note")
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return ending.join(lines) + (ending if draw(st.integers(0, 4)) else "")
+
+
+def _parsed(reader, text):
+    """(board, kind, vertex repr) read from text, or the TourParseError's text and line."""
+    try:
+        board, kind, vertices = reader(text)
+    except TourParseError as exc:
+        return str(exc), exc.line
+    return board, kind, repr(vertices)
+
+
+@given(tour_text())
+@example("board: 3\nkind: path\n0\n\n\n")  # blank lines, with a newline at a digit offset
+@example("board: 3 x 3\nkind: open\n0,0\n,,,\n")  # commas at digit offsets
+@settings(max_examples=400)
+def test_parse_tour_matches_the_per_line_reader(text):
+    assert _parsed(parse_tour, text) == _parsed(reference_parse_tour, text)
+
+
+class _OddInt(int):
+    def __str__(self) -> str:
+        return "odd"
+
+
+@st.composite
+def board_and_any_vertices(draw):
+    """Vertices of mostly one-digit ints, with bools, floats, negative, wide
+    and int-subclass coordinates and wrong lengths mixed in; maybe none."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    board = Board([draw(st.integers(min_value=1, max_value=12)) for _ in range(k)])
+    digit = st.integers(min_value=0, max_value=9)
+    odd = st.one_of(
+        st.integers(min_value=-3, max_value=300),
+        st.booleans(),
+        st.sampled_from([0.0, 1.5, 2.0, 10**20, _OddInt(1)]),
+    )
+    coordinate = st.one_of(digit, digit, digit, digit, odd)
+    width = st.sampled_from([k] * 8 + [k - 1, k + 1])
+    vertex = width.flatmap(lambda w: st.lists(coordinate, min_size=w, max_size=w))
+    vertices = draw(st.lists(vertex.map(tuple), max_size=8))
+    kind = draw(st.sampled_from(list(TourKind)))
+    return board, kind, vertices
+
+
+@given(board_and_any_vertices())
+@settings(max_examples=400)
+def test_serialize_tour_matches_the_per_line_writer(case):
+    board, kind, vertices = case
+    assert serialize_tour(board, kind, vertices) == reference_serialize_tour(board, kind, vertices)
+
+
+def test_canonical_vertex_block_is_read_in_bulk(monkeypatch):
+    tour = closed_tour_on_hypercube(12)
+    text = serialize_tour(tour.board, tour.kind, tour.vertices)
+    assert text == reference_serialize_tour(tour.board, tour.kind, tour.vertices)
+    header, block = text.split("kind: closed\n")
+    # CRLF endings, and one comment line after the header or at the end
+    variants = [
+        text.replace("\n", "\r\n"),
+        f"{header}kind: closed\n# note\n{block}",
+        text + "# end\n",
+        text[:-1],
+    ]
+    for variant in variants:
+        assert _parsed(parse_tour, variant) == _parsed(reference_parse_tour, variant)
+        assert parse_tour(variant)[2] == list(tour.vertices)
+
+    def per_line(line):
+        raise AssertionError("a canonical vertex line was parsed on its own")
+
+    monkeypatch.setattr(eknight.tour, "parse_vertex", per_line)
+    assert parse_tour(text) == (tour.board, tour.kind, list(tour.vertices))
+    assert parse_tour(variants[1])[2] == list(tour.vertices)
 
 
 def test_tour_dataclass_helpers():

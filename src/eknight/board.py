@@ -20,6 +20,7 @@ n cells, plus the composition's tables) is refused before it is built.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
@@ -199,14 +200,24 @@ class Board:
         return self._box_size - len(self.holes)
 
     def in_box(self, v: Vertex) -> bool:
+        """True iff every coordinate of v is an integer in 0..side-1.
+
+        A coordinate is an integer when `operator.index` accepts it: an int,
+        a bool or another int subclass, never a float, Fraction or Decimal,
+        whatever its value.
+        """
         if len(v) != len(self.sides):
             raise ValueError(
                 f"vertex {v} has {len(v)} coordinates, board has {len(self.sides)}"
             )
-        return all(0 <= c < s for c, s in zip(v, self.sides))
+        try:
+            return all(0 <= operator.index(c) < s for c, s in zip(v, self.sides))
+        except TypeError:
+            return False
 
     def contains(self, v: Vertex) -> bool:
-        """True iff v is a playable (non-hole) cell of this board."""
+        """True iff v is a playable (non-hole) cell of this board; its
+        coordinates must be integers, as `in_box` says."""
         return self.in_box(v) and v not in self.holes
 
     def index(self, v: Vertex) -> int:

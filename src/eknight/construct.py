@@ -87,11 +87,7 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
             f"base tour fails closed verification: {report.first_violation.description}"
         )
     axes = _validate_mask(DEFAULT_FLIP_MASK if mask is None else mask, k)
-    try:
-        columns = _columns(base.vertices, k)
-    except TypeError:  # a float or other non-int coordinate
-        raise ValueError("base tour coordinates must be integers") from None
-    vertices = tuple(zip(*_double(columns, axes)))
+    vertices = tuple(zip(*_double(_columns(base.vertices, k), axes)))
     return _checked(Tour(result, TourKind.CLOSED, vertices))
 
 

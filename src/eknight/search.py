@@ -8,12 +8,15 @@ search and the exact longest path differ only in the two callbacks they hand
 it: which successors to try below a head, and what a new path means.
 
 Tour search splits its work into root branches (a start vertex, optionally
-with a fixed first move that its root's expand returns alone).  Branches run
-in-process or on a worker pool, each yields (status, path, nodes, depth), and
-`find_tour` folds those results in one loop that stops at the first branch
-that does not exhaust.  A budgeted run is always sequential, so one node
-budget is spent across its branches in order and a pool never carries one.
-Every tour and longest path leaves through `tour._checked`, the verifier.
+with a fixed first move that its root's expand returns alone).  The first
+branch always runs in-process; the branches after it run on a worker pool in
+a parallel run and in-process otherwise, so a pool starts only once the
+first branch has exhausted.  Each branch yields (status, path, nodes, depth),
+and `find_tour` folds those results in one loop that stops at the first
+branch that does not exhaust.  A budgeted run is always sequential, so one
+node budget is spent across its branches in order and a pool never carries
+one.  Every tour and longest path leaves through `tour._checked`, the
+verifier.
 
 Pruning only cuts branches that provably cannot finish, and each cut has a
 witness a checker can test on its own:
@@ -56,8 +59,9 @@ from head p to head h takes only p out of the graph, so a node whose parent
 passed its checks re-examines only p's unvisited neighbours (their degrees,
 and whether h still reaches them all), carries the parent's weak or forced
 vertices forward, and counts forced neighbours only next to newly forced
-vertices.  The verdicts equal those of a full rescan, which only the root
-makes.
+vertices.  The scan of those neighbours also finds the ones h reaches in two
+steps; a breadth-first search runs only for the others.  The verdicts equal
+those of a full rescan, which only the root makes.
 """
 
 from __future__ import annotations
@@ -87,17 +91,19 @@ class SearchConfig:
     """Solver parameters.
 
     With deterministic=True the found tour is independent of parallel_width
-    and identical across runs; node statistics may still vary with
-    parallelism.  use_feasibility_precheck=False forces a full search even
-    when the necessary-condition scan could short-circuit.
+    and identical across runs, and so is the node count of an open search; a
+    closed search split over the start's first moves counts its root once
+    per branch it runs.  use_feasibility_precheck=False forces a full search
+    even when the necessary-condition scan could short-circuit.
 
     node_budget bounds path-push operations.  A budgeted run is always
     sequential, whatever parallel_width says: one budget is spent across all
     root branches, so a budget_exceeded outcome has expanded exactly
-    node_budget + 1 nodes.  parallel_width > 0 runs an unbudgeted search on
-    at most one worker per CPU and per root branch; it runs in-process when
-    workers could not start (a script read from stdin under spawn or
-    forkserver).
+    node_budget + 1 nodes.  parallel_width > 0 runs the first root branch of
+    an unbudgeted search in-process, in every mode, and only if it exhausts
+    the branches after it on at most one worker per CPU and per remaining
+    branch; they run in-process when that leaves one worker or workers could
+    not start (a script read from stdin under spawn or forkserver).
     """
 
     target: TourKind = TourKind.OPEN
@@ -203,20 +209,16 @@ def _prunable(
         p, tight = parent
         scan = masks[p] & rest
         tight &= rest
-    # breadth-first from head inside rest, until it has reached all of scan
-    unseen = rest
-    frontier = 1 << head
-    while scan & unseen:
-        frontier = _spread(masks, frontier) & unseen
-        if not frontier:
-            return None
-        unseen ^= frontier
     anchor = rest | (1 << head)
     if start is not None:
         anchor |= 1 << start
-    fresh = 0
+    # head reaches a cell of rest in two steps inside rest when the cell is
+    # in near or next to it; far collects the scan cells it may not
+    near = masks[head] & rest
+    far = fresh = 0
     for u in _bits(scan):
-        degree = (masks[u] & anchor).bit_count()
+        mask = masks[u]
+        degree = (mask & anchor).bit_count()
         if degree < 2:
             if start is not None or degree == 0:
                 return None
@@ -227,6 +229,17 @@ def _prunable(
             # the rest of a closed tour is a path head -> rest -> start, so
             # both edges of this cell are forced
             fresh |= 1 << u
+        if not mask & near:
+            far |= 1 << u
+    far &= ~near
+    # breadth-first on from near inside rest, until it has reached all of far
+    unseen = rest ^ near
+    frontier = near
+    while far & unseen:
+        frontier = _spread(masks, frontier) & unseen
+        if not frontier:
+            return None
+        unseen ^= frontier
     if start is None:
         return tight, 0
     tight |= fresh
@@ -250,15 +263,19 @@ def _prunable(
 def _ordered_successors(
     masks: list[int],
     head: int,
-    visited: int,
+    rest: int,
     use_warnsdorff: bool,
     rng: random.Random | None,
 ) -> list[int]:
-    candidates = list(_bits(masks[head] & ~visited))
+    """The head's neighbours in rest, the unvisited cells, in the order to try.
+
+    rest is a non-negative mask: an and with a negative int, such as
+    ~visited, costs CPython a complemented copy of it every time.
+    """
+    candidates = list(_bits(masks[head] & rest))
     if rng is not None:
         rng.shuffle(candidates)
     if use_warnsdorff:
-        rest = ~visited
         candidates.sort(key=lambda s: (masks[s] & rest).bit_count())
     return candidates
 
@@ -330,7 +347,7 @@ def _search_branch(
             return [lone.bit_length() - 1]
         if depth == 1 and first is not None:
             return [first]
-        return _ordered_successors(masks, head, visited, use_warnsdorff, rng)
+        return _ordered_successors(masks, head, full & ~visited, use_warnsdorff, rng)
 
     def accept(path: list[int]) -> bool:
         if len(path) < n:
@@ -439,21 +456,31 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     rng = None if config.deterministic else random.Random()
     if closed and parallel:
         s = starts[0]
-        order = _ordered_successors(masks, s, 1 << s, config.use_warnsdorff, rng)
+        order = _ordered_successors(masks, s, full ^ (1 << s), config.use_warnsdorff, rng)
         branches = [(s, f) for f in order]
     else:
         branches = [(s, None) for s in starts]
 
     run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff)
-    workers = min(config.parallel_width, len(branches), os.cpu_count() or 1)
-    if parallel and workers > 1 and _workers_can_start():
-        results = _pooled(run, config.deterministic, workers, branches)
-    else:
+
+    def branch_results() -> Iterator[tuple]:
+        # the first branch runs in-process and often finds the tour alone, so
+        # a pool starts only once it exhausts, for the branches after it
+        if not branches:  # the closed split of a start without moves
+            return
         counters = _Counters(config.node_budget)
-        results = (_search_branch(run, rng, counters, b) for b in branches)
+        yield _search_branch(run, rng, counters, branches[0])
+        later = branches[1:]
+        workers = min(config.parallel_width, len(later), os.cpu_count() or 1)
+        if parallel and workers > 1 and _workers_can_start():
+            yield from _pooled(run, config.deterministic, workers, later)
+        else:
+            for branch in later:
+                yield _search_branch(run, rng, counters, branch)
+
     status, path = SearchStatus.EXHAUSTED_NONE, None
     nodes = max_depth = 0
-    with contextlib.closing(results):
+    with contextlib.closing(branch_results()) as results:
         for status, path, branch_nodes, branch_depth in results:
             nodes += branch_nodes
             max_depth = max(max_depth, branch_depth)
@@ -504,7 +531,7 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
 
     best: list[int] = []
     for s in _bits(full):
-        walk = _greedy_walk(masks, s)
+        walk = _greedy_walk(masks, full, s)
         if len(walk) > len(best):
             best = walk
             if len(best) == n:
@@ -541,11 +568,11 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     return SearchOutcome(status, _checked(tour), counters.nodes, len(best))
 
 
-def _greedy_walk(masks: list[int], start: int) -> list[int]:
+def _greedy_walk(masks: list[int], full: int, start: int) -> list[int]:
     """Fewest-onward-moves walk from start; ties go to the smaller index."""
     path = [start]
-    visited = 1 << start
-    while candidates := _ordered_successors(masks, path[-1], visited, True, None):
-        visited |= 1 << candidates[0]
+    rest = full ^ (1 << start)
+    while candidates := _ordered_successors(masks, path[-1], rest, True, None):
+        rest ^= 1 << candidates[0]
         path.append(candidates[0])
     return path

@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import countOf, lt
+from operator import countOf
 
 from .board import (
     KNIGHT_SQUARED_LENGTH,
@@ -133,6 +133,9 @@ def verify(
 ) -> VerificationReport:
     """Check a vertex sequence against a board and a claimed kind.
 
+    A vertex is a cell when `Board.in_box` holds for it and it is no hole:
+    a coordinate that `operator.index` refuses, such as a float, Fraction or
+    Decimal, makes a vertex that lies outside the board, whatever its value.
     The per-link and per-coordinate work runs a column at a time in `bytes`
     and `int` operations (see `_packed_checks`); coordinates outside 0..127,
     non-integers and boards of more than `_LANE_AXES` axes take a per-link
@@ -152,7 +155,7 @@ def verify(
 
     checks = _packed_checks(vs, sides)
     if checks is None:
-        outside = [i for i, v in enumerate(vs) if min(v) < 0 or not all(map(lt, v, sides))]
+        outside = [i for i, v in enumerate(vs) if not board.in_box(v)]
         illegal = [
             i for i, (a, b) in enumerate(zip(vs, vs[1:]))
             if squared_distance(a, b) != KNIGHT_SQUARED_LENGTH
@@ -160,10 +163,10 @@ def verify(
         taxicab_counts = Counter(map(taxicab_distance, vs, vs[1:]))
     else:
         outside, illegal, taxicab_counts = checks
-    where = dict.fromkeys(outside, "lies outside the board")
-    if holes:  # holes lie in the box, so no entry is both outside and a hole
-        removed = _marked(bytes(map(holes.__contains__, vs)))
-        where.update(dict.fromkeys(removed, "is a removed cell"))
+    removed = _marked(bytes(map(holes.__contains__, vs))) if holes else []
+    where = dict.fromkeys(removed, "is a removed cell")
+    # an entry equal to a hole but with a coordinate that is no integer lies outside
+    where.update(dict.fromkeys(outside, "lies outside the board"))
     members = [Violation(i, f"vertex {format_vertex(vs[i])} {where[i]}") for i in sorted(where)]
     links = [
         Violation(i, f"link {i}: squared length {squared_distance(vs[i], vs[i + 1])} (expected 5)")

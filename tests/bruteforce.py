@@ -7,13 +7,16 @@ packed, axis-by-axis `tour.verify`.  `reference_parse_tour`,
 `reference_serialize_tour` and `reference_double` are the per-line tour
 reader and writer and the tuple doubling step, the oracles for the bulk
 paths of `tour.parse_tour` and `tour.serialize_tour` and for the byte-column
-`construct._double`.
+`construct._double`.  `reference_prunable` is the prune check that runs its
+breadth-first reach search before the degree scan, the oracle for
+`search._prunable`, which decides most reach questions within the scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 
@@ -21,7 +24,9 @@ from eknight.board import (
     KNIGHT_SQUARED_LENGTH,
     Board,
     Vertex,
+    _bits,
     _parse_hole,
+    _spread,
     format_vertex,
     parse_sides,
     parse_vertex,
@@ -29,6 +34,7 @@ from eknight.board import (
     squared_distance,
     taxicab_distance,
 )
+from eknight.search import _alternation_bound
 from eknight.tour import TourKind, TourParseError, VerificationReport, Violation
 
 
@@ -167,9 +173,17 @@ def reference_verify(
         if not all_violations:
             stopped = True
 
+    def in_box(v: Vertex) -> bool:
+        # a coordinate counts when operator.index accepts it, whatever its value
+        try:
+            coordinates = [operator.index(c) for c in v]
+        except TypeError:
+            return False
+        return all(0 <= c < s for c, s in zip(coordinates, board.sides))
+
     # membership
     for i, v in enumerate(vertices):
-        if not board.in_box(v):
+        if not in_box(v):
             add(i, f"vertex {format_vertex(v)} lies outside the board")
         elif v in board.holes:
             add(i, f"vertex {format_vertex(v)} is a removed cell")
@@ -314,3 +328,74 @@ def reference_double(vertices: tuple[Vertex, ...], axes: tuple[int, ...]) -> tup
 
     mirrored = [flip(v) + (1,) for v in reversed(vertices)]
     return tuple([v + (0,) for v in vertices] + mirrored)
+
+
+def reference_prunable(
+    masks: list[int],
+    full: int,
+    dark_mask: int,
+    visited: int,
+    head: int,
+    ends: tuple[int, int] | None,
+    parent: tuple[int, int] | None,
+) -> tuple[int, int] | None:
+    """The prune check with its breadth-first reach search first, kept as an
+    oracle for `search._prunable`: same arguments, verdict and state."""
+    rest = full & ~visited
+    if rest == 0:
+        return 0, 0
+    head_dark = bool(dark_mask >> head & 1)
+    if ends is None:
+        start = None
+        if _alternation_bound(dark_mask, rest, head_dark) < rest.bit_count():
+            return None
+    else:
+        start, second = ends
+        late = masks[start] & rest & -(1 << (second + 1))
+        if not late:
+            return None
+        cells = rest | (1 << start)
+        if _alternation_bound(dark_mask, cells, head_dark) < rest.bit_count() + 1:
+            return None
+    if parent is None:
+        scan = rest
+        tight = 0
+    else:
+        p, tight = parent
+        scan = masks[p] & rest
+        tight &= rest
+    # breadth-first from head inside rest, until it has reached all of scan
+    unseen = rest
+    frontier = 1 << head
+    while scan & unseen:
+        frontier = _spread(masks, frontier) & unseen
+        if not frontier:
+            return None
+        unseen ^= frontier
+    anchor = rest | (1 << head)
+    if start is not None:
+        anchor |= 1 << start
+    fresh = 0
+    for u in _bits(scan):
+        degree = (masks[u] & anchor).bit_count()
+        if degree < 2:
+            if start is not None or degree == 0:
+                return None
+            tight |= 1 << u
+            if tight & (tight - 1):
+                return None
+        elif degree == 2 and start is not None:
+            fresh |= 1 << u
+    if start is None:
+        return tight, 0
+    tight |= fresh
+    for u in _bits(_spread(masks, fresh) & rest):
+        if (masks[u] & tight).bit_count() > 2:
+            return None
+    last = masks[start] & tight
+    if head == start:
+        return None if last.bit_count() > 2 else (tight, 0)
+    lone = masks[head] & tight
+    if lone & (lone - 1) or last & (last - 1) or last & ~late:
+        return None
+    return tight, lone

@@ -409,6 +409,13 @@ def test_contains_and_require():
     assert not board.contains((1, 1))
     with pytest.raises(ValueError):
         board.contains((0, 0, 0))
+    # a coordinate is an integer when operator.index accepts it, whatever its value
+    board = Board([2] * 6)
+    assert not board.contains((0.5, 0, 0, 0, 0, 0))
+    assert not board.contains((0.0, 0, 0, 0, 0, 0))
+    assert board.contains((True, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="lies outside the board"):
+        board.neighbors((0.0, 0, 0, 0, 0, 0))
 
 
 def test_board_equality_and_pickle():

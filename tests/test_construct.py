@@ -104,9 +104,10 @@ def test_base_validation():
     broken[5], broken[9] = broken[9], broken[5]
     with pytest.raises(ValueError, match="verification"):
         extend_closed_tour(Tour(base.board, TourKind.CLOSED, tuple(broken)))
-    # verify reads 1.0 as 1, but the columns hold ints only
+    # a float coordinate makes no cell, whatever its value
     floats = tuple(tuple(map(float, v)) for v in base.vertices)
-    with pytest.raises(ValueError, match="^base tour coordinates must be integers$"):
+    message = r"^base tour fails closed verification: vertex 0\.0,.* lies outside the board$"
+    with pytest.raises(ValueError, match=message):
         extend_closed_tour(Tour(base.board, TourKind.CLOSED, floats))
 
 

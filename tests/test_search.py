@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from eknight.board import Board, _bits
 from eknight.feasibility import classical_closed_tour_condition
 from eknight.search import (
     SearchConfig,
+    SearchOutcome,
     SearchStatus,
     find_tour,
     longest_path,
@@ -21,7 +23,7 @@ from eknight.search import (
 )
 from eknight.tour import MoveKind, TourKind, classify_move
 
-from bruteforce import random_board, tour_exists, tour_exists_permutations
+from bruteforce import random_board, reference_prunable, tour_exists, tour_exists_permutations
 
 
 def test_finds_closed_tour_on_holed_3x3():
@@ -174,32 +176,59 @@ def test_single_vertex_board():
     assert outcome.tour.vertices == ((0, 0),)
     outcome = find_tour(board, SearchConfig(target=TourKind.CLOSED))
     assert outcome.status is SearchStatus.EXHAUSTED_NONE
+    # a parallel closed search splits over the start's moves, here none
+    config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, use_feasibility_precheck=False)
+    assert find_tour(board, config) == SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, 0, 0)
+
+
+# open boards whose first root branch exhausts, so that a parallel search
+# starts a pool for the branches after it: on 4x5 less (0, 2) branches 0 and 1
+# exhaust and branch 2 finds a tour, on 3x4 less (0, 0) likewise, and on 4x4
+# every branch exhausts
+POOLED_BOARDS = [Board([4, 5], holes=[(0, 2)]), Board([3, 4], holes=[(0, 0)]), Board([4, 4])]
 
 
 def test_parallel_matches_sequential():
-    board = Board([3, 3], holes=[(1, 1)])
-    for target in (TourKind.OPEN, TourKind.CLOSED):
-        seq = find_tour(board, SearchConfig(target=target))
-        par = find_tour(board, SearchConfig(target=target, parallel_width=3))
-        assert seq.status is par.status is SearchStatus.FOUND
-        assert seq.tour.vertices == par.tour.vertices
+    found, none = SearchStatus.FOUND, SearchStatus.EXHAUSTED_NONE
+    for board, status in zip(POOLED_BOARDS + [Board([3, 3])], [found, found, none, none]):
+        config = SearchConfig(use_feasibility_precheck=False)
+        seq = find_tour(board, config)
+        par = find_tour(board, dataclasses.replace(config, parallel_width=3))
+        assert seq.status is status, board
+        assert (par.status, par.nodes_expanded) == (seq.status, seq.nodes_expanded)
+        assert (par.tour and par.tour.vertices) == (seq.tour and seq.tour.vertices)
 
-    none_seq = find_tour(
-        Board([3, 3]), SearchConfig(target=TourKind.OPEN, use_feasibility_precheck=False)
-    )
-    none_par = find_tour(
-        Board([3, 3]),
-        SearchConfig(target=TourKind.OPEN, parallel_width=2, use_feasibility_precheck=False),
-    )
-    assert none_seq.status is none_par.status is SearchStatus.EXHAUSTED_NONE
+
+def test_no_pool_when_the_first_branch_finds_a_tour(monkeypatch):
+    # a parallel search runs its first root branch in-process; when that
+    # branch finds the tour no worker starts, and the answer and node count
+    # are the sequential ones
+    def no_pool(method):
+        raise RuntimeError("a pool was started")
+
+    cases = [
+        (Board([3, 3], holes=[(1, 1)]), TourKind.OPEN),
+        (Board([3, 3], holes=[(1, 1)]), TourKind.CLOSED),
+        (Board([5, 6]), TourKind.CLOSED),
+        (Board([3] * 5), TourKind.OPEN),
+    ]
+    expected = [find_tour(board, SearchConfig(target=target)) for board, target in cases]
+    monkeypatch.setattr(eknight.search.multiprocessing, "get_context", no_pool)
+    for (board, target), seq in zip(cases, expected):
+        par = find_tour(board, SearchConfig(target=target, parallel_width=2))
+        assert par.status is SearchStatus.FOUND
+        assert (par.tour.vertices, par.nodes_expanded) == (seq.tour.vertices, seq.nodes_expanded)
+    # a closed split of a 2D corner has two branches, so whichever runs first
+    # one is left after it, and one branch starts no pool
+    config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, deterministic=False)
+    assert find_tour(Board([4, 7]), config).status is SearchStatus.EXHAUSTED_NONE
 
 
 def test_parallel_workers_receive_run_settings():
     # the determinism flag reaches the workers once, through the pool
     # initializer, not with each branch; a budgeted run never starts a pool
-    board = Board([3, 3], holes=[(1, 1)])
-    config = SearchConfig(target=TourKind.CLOSED, deterministic=False, parallel_width=2)
-    outcome = find_tour(board, config)
+    config = SearchConfig(deterministic=False, parallel_width=2)
+    outcome = find_tour(POOLED_BOARDS[0], config)
     assert outcome.status is SearchStatus.FOUND
     assert outcome.tour.report().valid
     config = SearchConfig(
@@ -238,11 +267,12 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(eknight.search.multiprocessing, "get_context",
                         lambda method: RecordingContext())
     cpus = os.cpu_count() or 1
-    # eight open start branches; one CPU leaves fewer than two workers, so no pool
+    # sixteen open start branches, fifteen after the in-process first; one
+    # CPU leaves fewer than two workers, so no pool
     config = SearchConfig(parallel_width=cpus + 2)
     with pytest.raises(RuntimeError) if cpus > 1 else contextlib.nullcontext():
-        find_tour(Board([3, 3], holes=[(1, 1)]), config)
-    assert sizes == ([min(cpus, 8)] if cpus > 1 else [])
+        find_tour(Board([4, 4]), config)
+    assert sizes == ([min(cpus, 15)] if cpus > 1 else [])
 
 
 def test_parallel_search_under_spawn(monkeypatch):
@@ -251,30 +281,29 @@ def test_parallel_search_under_spawn(monkeypatch):
     real = multiprocessing.get_context
     monkeypatch.setattr(eknight.search.multiprocessing, "get_context",
                         lambda method: real(method or "spawn"))
-    board = Board([5, 6])
-    for target in (TourKind.OPEN, TourKind.CLOSED):
-        seq = find_tour(board, SearchConfig(target=target))
-        par = find_tour(board, SearchConfig(target=target, parallel_width=2))
-        assert seq.status is par.status is SearchStatus.FOUND
-        assert par.tour.vertices == seq.tour.vertices
+    board = POOLED_BOARDS[0]
+    seq = find_tour(board)
+    par = find_tour(board, SearchConfig(parallel_width=2))
+    assert seq.status is par.status is SearchStatus.FOUND
+    assert (par.tour.vertices, par.nodes_expanded) == (seq.tour.vertices, seq.nodes_expanded)
 
 
 def test_parallel_search_from_a_stdin_script_under_spawn():
     # a spawned worker cannot re-import a main script read from stdin, so
-    # the branches run in-process instead of a pool restarting workers forever
+    # the branches after the first run in-process instead of a pool
+    # restarting workers forever
     script = (
         "import multiprocessing\n"
-        "from eknight import Board, SearchConfig, TourKind, find_tour\n"
+        "from eknight import Board, SearchConfig, find_tour\n"
         "multiprocessing.set_start_method('spawn', force=True)\n"
-        "config = SearchConfig(target=TourKind.CLOSED, parallel_width=2)\n"
-        "print(find_tour(Board([5, 6]), config).tour.vertices)\n"
+        "config = SearchConfig(parallel_width=2)\n"
+        "print(find_tour(Board([4, 5], holes=[(0, 2)]), config).tour.vertices)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-"], input=script, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    seq = find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED))
-    assert proc.stdout == f"{seq.tour.vertices}\n"
+    assert proc.stdout == f"{find_tour(POOLED_BOARDS[0]).tour.vertices}\n"
 
 
 def test_non_deterministic_mode_still_verifies():
@@ -444,6 +473,55 @@ def test_incremental_prune_matches_full_scan(monkeypatch):
             counters = eknight.search._Counters(None)
             eknight.search._search_branch(run, None, counters, (start, first))
     assert len(compared) > 1000
+
+
+def test_prune_scan_matches_the_breadth_first_reference(monkeypatch):
+    # along random path prefixes, each node's verdict and state, with its
+    # parent's state and without, equal those of the check that searches
+    # breadth-first before its degree scan.  The search that the scan's
+    # two-step reach leaves to do must run on some open nodes, and must end
+    # both in reaching every scan cell and in a cut
+    prunable, spread = eknight.search._prunable, eknight.search._spread
+    levels = 0
+
+    def counted(masks, frontier):
+        nonlocal levels
+        levels += 1
+        return spread(masks, frontier)
+
+    monkeypatch.setattr(eknight.search, "_spread", counted)
+    fallback = collections.Counter()
+    rng = random.Random(16180)
+    boards = [(random_board(rng, max_vertices=16), 20) for _ in range(60)]
+    boards += [(Board([3] * 5), 6), (Board([3] * 6), 2)]
+    for board, walks in boards:
+        _, masks, full = board._index_graph()
+        dark_mask = board._dark_mask()
+        cells = list(_bits(full))
+        for closed in (False, True):
+            for _ in range(walks):
+                start = rng.choice(cells)
+                path, visited, parent = [start], 1 << start, None
+                ends = (start, -1) if closed else None
+                while True:
+                    head = path[-1]
+                    if closed and len(path) == 2:
+                        ends = (start, head)
+                    node = (masks, full, dark_mask, visited, head, ends)
+                    expected = reference_prunable(*node, parent)
+                    for state in (parent, None):
+                        levels = 0
+                        got = prunable(*node, state)
+                        assert got == expected, (board, path, closed, state)
+                        if not closed and levels:
+                            fallback["reached" if got else "cut"] += 1
+                    successors = list(_bits(masks[head] & ~visited))
+                    if expected is None or not successors:
+                        break
+                    parent = head, expected[0]
+                    path.append(rng.choice(successors))
+                    visited |= 1 << path[-1]
+    assert fallback["reached"] and fallback["cut"], fallback
 
 
 @pytest.mark.parametrize(

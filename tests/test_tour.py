@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -598,3 +600,84 @@ def test_verify_fallback_inputs_match_reference():
         walk = [(0,) * axes, (127,) * axes, (0,) * axes, (2, 1) + (0,) * (axes - 2)]
         assert (_packed_checks(walk, board.sides) is None) == (axes > _LANE_AXES)
         _assert_matches_reference(board, walk)
+
+
+class _Int(int):
+    """An int subclass, which `operator.index` accepts as a coordinate."""
+
+
+# each turns an int coordinate into another type: a float, Fraction or Decimal
+# is never a coordinate, whatever its value; a bool or int subclass always is
+TO_OTHER_TYPE = {
+    "float": float,
+    "float plus a half": lambda c: c + 0.5,
+    "Fraction": Fraction,
+    "Fraction plus a half": lambda c: Fraction(2 * c + 1, 2),
+    "Decimal": Decimal,
+    "Decimal plus a half": lambda c: Decimal(c) + Decimal("0.5"),
+    "bool": lambda c: bool(c) if c in (0, 1) else c,
+    "int subclass": _Int,
+}
+
+
+@st.composite
+def walk_with_other_coordinate_types(draw):
+    """Knight walks, some of whose coordinates are of one type other than int.
+
+    The box starts at the origin, where an int walk takes the packed path,
+    or reaches beyond 130, where walks near 130 take the per-link fallback;
+    a coordinate that packing refuses sends any walk to the fallback.
+    """
+    k = draw(st.integers(min_value=1, max_value=6))
+    base = draw(st.sampled_from([0, 130]))
+    sides = tuple(base + draw(st.integers(min_value=1, max_value=4)) for _ in range(k))
+    cell = st.tuples(*[st.integers(min_value=base, max_value=s - 1) for s in sides])
+    steps = KNIGHT_STEPS[k]
+    holes = draw(st.lists(cell, max_size=2))
+    vertices = [draw(cell)]
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        if steps and draw(st.booleans()):
+            step = draw(st.sampled_from(steps))
+            vertices.append(tuple(map(sum, zip(vertices[-1], step))))
+        else:
+            vertices.append(draw(cell))
+    if draw(st.booleans()):
+        vertices.append(vertices[0])
+    convert = TO_OTHER_TYPE[draw(st.sampled_from(sorted(TO_OTHER_TYPE)))]
+    where = st.tuples(st.integers(0, len(vertices) - 1), st.integers(0, k - 1))
+    changed = draw(st.sets(where, max_size=4))
+    vertices = [
+        tuple(convert(c) if (i, a) in changed else c for a, c in enumerate(v))
+        for i, v in enumerate(vertices)
+    ]
+    return Board(sides, holes), vertices, draw(st.sampled_from(list(TourKind)))
+
+
+@given(walk_with_other_coordinate_types())
+@settings(max_examples=200)
+def test_verify_refuses_coordinates_that_are_not_integers(case):
+    # a vertex is a cell only when every coordinate is an int, a bool or
+    # another int subclass; any other is reported where membership is, as a
+    # vertex outside the board, by both verify paths and by the reference
+    board, vertices, kind = case
+    _assert_matches_reference(board, vertices, kind)
+    report = verify(board, vertices, kind, all_violations=True)
+    members = {
+        v.index for v in report.violations
+        if v.description.endswith(("lies outside the board", "is a removed cell"))
+    }
+    for i, v in enumerate(vertices):
+        cell = all(isinstance(c, int) and 0 <= c < s for c, s in zip(v, board.sides))
+        cell = cell and v not in board.holes
+        assert board.contains(v) == cell
+        assert (i in members) == (not cell), (i, v)
+
+
+def test_a_tour_shifted_off_the_integers_is_refused():
+    entry = corpus.get("PC_2_6")
+    shifted = [(v[0] + 0.5,) + v[1:] for v in entry.vertices]
+    report = verify(entry.board, shifted, TourKind.CLOSED, all_violations=True)
+    assert not report.valid
+    assert report.first_violation == Violation(0, "vertex 0.5,0,0,0,0,0 lies outside the board")
+    assert [v.index for v in report.violations] == list(range(64))
+    _assert_matches_reference(entry.board, shifted)

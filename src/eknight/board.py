@@ -83,6 +83,38 @@ def parse_vertex(text: str) -> Vertex:
     return _parse_ints(text, ",", "coordinate list")
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as ints; ValueError unless `operator.index` accepts each, as in `_in_box`."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
+
+
+def _in_box(v: Vertex, sides: tuple[int, ...], what: str = "vertex") -> bool:
+    """True iff every coordinate of v is an integer in 0..side-1.
+
+    A coordinate is an integer when `operator.index` accepts it: an int, a
+    bool or another int subclass, never a float, str, Fraction or Decimal,
+    whatever its value.
+    """
+    if len(v) != len(sides):
+        raise ValueError(f"{what} {v} has {len(v)} coordinates, board has {len(sides)}")
+    try:
+        return all(0 <= operator.index(c) < s for c, s in zip(v, sides))
+    except TypeError:
+        return False
+
+
+def _check_hole(hole: Iterable[int], sides: tuple[int, ...]) -> Vertex:
+    """hole as a tuple of ints; ValueError unless it is a cell of the box."""
+    hole = tuple(hole)
+    if not _in_box(hole, sides, "hole"):
+        raise ValueError(f"hole {hole} lies outside the board")
+    return tuple(map(operator.index, hole))
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, in increasing order."""
     while mask:
@@ -148,19 +180,12 @@ class Board:
     __slots__ = ("sides", "holes", "_weights", "_box_size", "_cache")
 
     def __init__(self, sides: Iterable[int], holes: Iterable[Iterable[int]] = ()) -> None:
-        sides = tuple(int(s) for s in sides)
+        sides = _integers(sides, "sides")
         if not sides:
             raise ValueError("a board needs at least one side")
         if min(sides) < 1:
             raise ValueError(f"sides must be >= 1, got {sides}")
-        hole_set = frozenset(tuple(int(c) for c in h) for h in holes)
-        for h in hole_set:
-            if len(h) != len(sides):
-                raise ValueError(
-                    f"hole {h} has {len(h)} coordinates, board has {len(sides)}"
-                )
-            if not all(0 <= c < s for c, s in zip(h, sides)):
-                raise ValueError(f"hole {h} lies outside the {format_sides(sides)} box")
+        hole_set = frozenset(_check_hole(h, sides) for h in holes)
         self.sides: tuple[int, ...] = sides
         self.holes: frozenset[Vertex] = hole_set
         weights = [1] * len(sides)
@@ -200,20 +225,8 @@ class Board:
         return self._box_size - len(self.holes)
 
     def in_box(self, v: Vertex) -> bool:
-        """True iff every coordinate of v is an integer in 0..side-1.
-
-        A coordinate is an integer when `operator.index` accepts it: an int,
-        a bool or another int subclass, never a float, Fraction or Decimal,
-        whatever its value.
-        """
-        if len(v) != len(self.sides):
-            raise ValueError(
-                f"vertex {v} has {len(v)} coordinates, board has {len(self.sides)}"
-            )
-        try:
-            return all(0 <= operator.index(c) < s for c, s in zip(v, self.sides))
-        except TypeError:
-            return False
+        """True iff every coordinate of v is an integer in 0..side-1; see `_in_box`."""
+        return _in_box(v, self.sides)
 
     def contains(self, v: Vertex) -> bool:
         """True iff v is a playable (non-hole) cell of this board; its
@@ -390,12 +403,7 @@ class Board:
 
 def _parse_hole(body: str, sides: tuple[int, ...]) -> Vertex:
     """Parse the body of a 'hole:' line and check it against the board sides."""
-    hole = parse_vertex(body)
-    if len(hole) != len(sides):
-        raise ValueError(f"hole {hole} has {len(hole)} coordinates, board has {len(sides)}")
-    if not all(0 <= c < s for c, s in zip(hole, sides)):
-        raise ValueError(f"hole {hole} lies outside the board")
-    return hole
+    return _check_hole(parse_vertex(body), sides)
 
 
 def parse_board_text(text: str) -> Board:

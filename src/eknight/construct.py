@@ -27,7 +27,7 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from . import corpus
-from .board import Board, Vertex
+from .board import Board, Vertex, _integers
 from .tour import Tour, TourKind, _checked
 
 DEFAULT_FLIP_MASK: tuple[int, ...] = (0, 1, 2, 3)
@@ -36,7 +36,7 @@ FLIP_MASK_SIZE = 4
 
 
 def _validate_mask(mask: Iterable[int], dimension: int) -> tuple[int, ...]:
-    axes = tuple(sorted(int(a) for a in mask))
+    axes = tuple(sorted(_integers(mask, "flip mask axes")))
     if len(axes) != FLIP_MASK_SIZE or len(set(axes)) != FLIP_MASK_SIZE:
         raise ValueError(f"flip mask needs exactly {FLIP_MASK_SIZE} distinct axes, got {axes}")
     if axes[0] < 0 or axes[-1] >= dimension:

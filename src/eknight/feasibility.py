@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .board import Board, Vertex
+from .board import Board, Vertex, _integers
 
 
 class Color(Enum):
@@ -121,7 +121,7 @@ def classical_closed_tour_condition(sides: Iterable[int]) -> bool:
     largest side is >= 4.  Sides are sorted defensively; informational only,
     independent of the squared-length-5 move rule.
     """
-    sides = sorted(int(s) for s in sides)
+    sides = sorted(_integers(sides, "sides"))
     if len(sides) < 3:
         raise ValueError(f"need at least 3 sides, got {len(sides)}")
     if sides[0] < 2:

@@ -7,8 +7,8 @@ mixed-radix vertex indices.  Index order equals lexicographic order, so
 search and the exact longest path differ only in the two callbacks they hand
 it: which successors to try below a head, and what a new path means.
 
-Tour search splits its work into root branches (a start vertex, optionally
-with a fixed first move that its root's expand returns alone).  The first
+Tour search splits its work into root branches, one per start vertex: a
+closed search, and an open search from a given start, has one.  The first
 branch always runs in-process; the branches after it run on a worker pool in
 a parallel run and in-process otherwise, so a pool starts only once the
 first branch has exhausted.  Each branch yields (status, path, nodes, depth),
@@ -90,11 +90,10 @@ class SearchStatus(Enum):
 class SearchConfig:
     """Solver parameters.
 
-    With deterministic=True the found tour is independent of parallel_width
-    and identical across runs, and so is the node count of an open search; a
-    closed search split over the start's first moves counts its root once
-    per branch it runs.  use_feasibility_precheck=False forces a full search
-    even when the necessary-condition scan could short-circuit.
+    With deterministic=True the found tour, the node count and the depth are
+    independent of parallel_width and identical across runs.
+    use_feasibility_precheck=False forces a full search even when the
+    necessary-condition scan could short-circuit.
 
     node_budget bounds path-push operations.  A budgeted run is always
     sequential, whatever parallel_width says: one budget is spent across all
@@ -318,7 +317,7 @@ def _search_branch(
     run: tuple,
     rng: random.Random | None,
     counters: _Counters,
-    branch: tuple[int, int | None],
+    start: int,
 ) -> tuple[SearchStatus, list[int] | None, int, int]:
     """One root branch as (status, path, nodes it spent, max depth so far).
 
@@ -326,7 +325,6 @@ def _search_branch(
     dark mask, n, closed, use_warnsdorff).
     """
     masks, full, dark_mask, n, closed, use_warnsdorff = run
-    start, first = branch
     ends = (start, -1) if closed else None
 
     # depth -> (head, tight mask) of the path node at that depth that passed
@@ -345,8 +343,6 @@ def _search_branch(
         checked[depth] = head, tight
         if lone:
             return [lone.bit_length() - 1]
-        if depth == 1 and first is not None:
-            return [first]
         return _ordered_successors(masks, head, full & ~visited, use_warnsdorff, rng)
 
     def accept(path: list[int]) -> bool:
@@ -376,13 +372,13 @@ def _init_worker(*settings) -> None:
     _worker_run = settings
 
 
-def _branch_worker(branch: tuple[int, int | None]) -> tuple:
+def _branch_worker(start: int) -> tuple:
     run, deterministic = _worker_run
     rng = None if deterministic else random.Random()
-    return _search_branch(run, rng, _Counters(None), branch)
+    return _search_branch(run, rng, _Counters(None), start)
 
 
-def _pooled(run: tuple, deterministic: bool, workers: int, branches) -> Iterator[tuple]:
+def _pooled(run: tuple, deterministic: bool, workers: int, starts) -> Iterator[tuple]:
     """Branch results from a pool of workers; a pooled run has no budget.
 
     Deterministic mode yields results in branch order, so the first tour is
@@ -394,7 +390,7 @@ def _pooled(run: tuple, deterministic: bool, workers: int, branches) -> Iterator
     )
     try:
         results = pool.imap if deterministic else pool.imap_unordered
-        yield from results(_branch_worker, branches)
+        yield from results(_branch_worker, starts)
     finally:
         pool.terminate()
         pool.join()
@@ -454,29 +450,20 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
 
     parallel = config.parallel_width > 0 and config.node_budget is None
     rng = None if config.deterministic else random.Random()
-    if closed and parallel:
-        s = starts[0]
-        order = _ordered_successors(masks, s, full ^ (1 << s), config.use_warnsdorff, rng)
-        branches = [(s, f) for f in order]
-    else:
-        branches = [(s, None) for s in starts]
-
     run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff)
 
     def branch_results() -> Iterator[tuple]:
         # the first branch runs in-process and often finds the tour alone, so
         # a pool starts only once it exhausts, for the branches after it
-        if not branches:  # the closed split of a start without moves
-            return
         counters = _Counters(config.node_budget)
-        yield _search_branch(run, rng, counters, branches[0])
-        later = branches[1:]
+        yield _search_branch(run, rng, counters, starts[0])
+        later = starts[1:]
         workers = min(config.parallel_width, len(later), os.cpu_count() or 1)
         if parallel and workers > 1 and _workers_can_start():
             yield from _pooled(run, config.deterministic, workers, later)
         else:
-            for branch in later:
-                yield _search_branch(run, rng, counters, branch)
+            for s in later:
+                yield _search_branch(run, rng, counters, s)
 
     status, path = SearchStatus.EXHAUSTED_NONE, None
     nodes = max_depth = 0

@@ -39,10 +39,21 @@ def test_board_rejects_bad_input():
         Board([])
     with pytest.raises(ValueError):
         Board([3, 0])
-    with pytest.raises(ValueError):
+    # a hole is checked as a 'hole:' line is
+    with pytest.raises(ValueError, match=r"^hole \(3, 0\) lies outside the board$"):
         Board([3, 3], holes=[(3, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^hole \(1, 1, 1\) has 3 coordinates, board has 2$"):
         Board([3, 3], holes=[(1, 1, 1)])
+    # in_box's rule: a number counts only when operator.index accepts it, so
+    # nothing is truncated or read from text
+    with pytest.raises(ValueError, match="^sides must be integers"):
+        Board([2.7, 3])
+    with pytest.raises(ValueError, match="^sides must be integers"):
+        Board(["3", " 3"])
+    with pytest.raises(ValueError, match=r"^hole \(0\.5, 1\) lies outside the board$"):
+        Board([3, 3], holes=[(0.5, 1)])
+    board = Board([True, 3], holes=[(0, True)])
+    assert serialize_board_text(board) == "1 x 3\nhole: 0,1\n"
 
 
 def test_graph_refuses_a_box_too_large_to_enumerate():

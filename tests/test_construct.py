@@ -181,6 +181,9 @@ def test_hypercube_mask_list():
     assert len(tour.vertices) == 256
     with pytest.raises(ValueError, match="masks"):
         closed_tour_on_hypercube(8, masks=[(0, 1, 2, 3)])
+    # int() would read 3.9 as axis 3
+    with pytest.raises(ValueError, match="^flip mask axes must be integers"):
+        closed_tour_on_hypercube(7, [[0, 1, 2, 3.9]])
 
 
 def test_default_mask_constant():

@@ -154,6 +154,9 @@ def test_classical_condition_examples():
         classical_closed_tour_condition((3, 4))
     with pytest.raises(ValueError):
         classical_closed_tour_condition((1, 3, 4))
+    # int() would read these as (2, 3, 4), which has a closed tour
+    with pytest.raises(ValueError, match="^sides must be integers"):
+        classical_closed_tour_condition([2.5, 3, 4.9])
 
 
 def test_classical_condition_matches_direct_evaluation():

@@ -92,6 +92,19 @@ def test_longest_path_full_board_hits_vertex_count():
     assert outcome.max_depth_reached == 8
 
 
+def test_longest_path_stops_at_a_full_path_no_greedy_seed_found():
+    # every greedy seed walk falls short, so the sweep finds the full path
+    # itself and stops there instead of trying the later starts
+    board = Board([5, 6], holes=[(0, 1), (1, 0), (2, 0), (2, 1), (4, 4)])
+    _, masks, full = board._index_graph()
+    assert all(len(eknight.search._greedy_walk(masks, full, s)) < 25 for s in _bits(full))
+    outcome = longest_path(board)
+    assert (outcome.status, outcome.nodes_expanded, outcome.max_depth_reached) == (
+        SearchStatus.FOUND, 34248, 25
+    )
+    assert len(outcome.tour.vertices) == board.vertex_count == 25
+
+
 def test_budget_semantics():
     outcome = find_tour(
         Board([2] * 6),
@@ -176,9 +189,11 @@ def test_single_vertex_board():
     assert outcome.tour.vertices == ((0, 0),)
     outcome = find_tour(board, SearchConfig(target=TourKind.CLOSED))
     assert outcome.status is SearchStatus.EXHAUSTED_NONE
-    # a parallel closed search splits over the start's moves, here none
-    config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, use_feasibility_precheck=False)
-    assert find_tour(board, config) == SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, 0, 0)
+    # without the precheck the root is expanded and cut, in every mode
+    config = SearchConfig(target=TourKind.CLOSED, use_feasibility_precheck=False)
+    expected = SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, 1, 1)
+    assert find_tour(board, config) == expected
+    assert find_tour(board, dataclasses.replace(config, parallel_width=2)) == expected
 
 
 # open boards whose first root branch exhausts, so that a parallel search
@@ -189,13 +204,25 @@ POOLED_BOARDS = [Board([4, 5], holes=[(0, 2)]), Board([3, 4], holes=[(0, 0)]), B
 
 
 def test_parallel_matches_sequential():
+    # open searches pool the start branches after the first; a closed search
+    # is one branch, so the closed cases must count their nodes once too
     found, none = SearchStatus.FOUND, SearchStatus.EXHAUSTED_NONE
-    for board, status in zip(POOLED_BOARDS + [Board([3, 3])], [found, found, none, none]):
-        config = SearchConfig(use_feasibility_precheck=False)
+    open_, closed = TourKind.OPEN, TourKind.CLOSED
+    cases = [(board, open_) for board in POOLED_BOARDS + [Board([3, 3])]] + [
+        (Board([2, 3, 6]), closed),
+        (Board([4, 9]), closed),
+        (Board([3, 3, 3], holes=[(1, 1, 1)]), closed),
+        (Board([1, 1]), closed),
+    ]
+    statuses = [found, found, none, none, found, none, none, none]
+    for (board, target), status in zip(cases, statuses, strict=True):
+        config = SearchConfig(target=target, use_feasibility_precheck=False)
         seq = find_tour(board, config)
         par = find_tour(board, dataclasses.replace(config, parallel_width=3))
         assert seq.status is status, board
-        assert (par.status, par.nodes_expanded) == (seq.status, seq.nodes_expanded)
+        assert (par.status, par.nodes_expanded, par.max_depth_reached) == (
+            seq.status, seq.nodes_expanded, seq.max_depth_reached
+        ), board
         assert (par.tour and par.tour.vertices) == (seq.tour and seq.tour.vertices)
 
 
@@ -218,8 +245,8 @@ def test_no_pool_when_the_first_branch_finds_a_tour(monkeypatch):
         par = find_tour(board, SearchConfig(target=target, parallel_width=2))
         assert par.status is SearchStatus.FOUND
         assert (par.tour.vertices, par.nodes_expanded) == (seq.tour.vertices, seq.nodes_expanded)
-    # a closed split of a 2D corner has two branches, so whichever runs first
-    # one is left after it, and one branch starts no pool
+    # a closed search is one root branch, run in-process, so even a proof
+    # starts no pool
     config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, deterministic=False)
     assert find_tour(Board([4, 7]), config).status is SearchStatus.EXHAUSTED_NONE
 
@@ -437,9 +464,9 @@ def test_oracle_agreement_without_precheck(monkeypatch):
 
 def test_incremental_prune_matches_full_scan(monkeypatch):
     # every node checked against its parent gets the full scan's verdict and
-    # state too, in whole searches and in forced-first closed branches: the
-    # weak mask of an open search, the degree-2 mask and the forced successor
-    # of a closed one
+    # state too, in whole searches and in closed searches from later starts:
+    # the weak mask of an open search, the degree-2 mask and the forced
+    # successor of a closed one
     prunable = eknight.search._prunable
     compared = []
     closed_states = []
@@ -465,13 +492,11 @@ def test_incremental_prune_matches_full_scan(monkeypatch):
     assert any(lone for _, lone in closed_states)
     compared.clear()
     for board in boards:
-        # the closed branches a parallel search hands its workers, run in-process
-        _, masks, full = board._index_graph()
-        run = (masks, full, board._dark_mask(), board.vertex_count, True, True)
-        start = next(_bits(full))
-        for first in _bits(masks[start]):
-            counters = eknight.search._Counters(None)
-            eknight.search._search_branch(run, None, counters, (start, first))
+        # closed cycles fixed at a start other than the smallest vertex
+        for start in list(board.vertices())[1:4]:
+            config = SearchConfig(target=TourKind.CLOSED, start=start,
+                                  use_feasibility_precheck=False)
+            find_tour(board, config)
     assert len(compared) > 1000
 
 

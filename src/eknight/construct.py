@@ -104,7 +104,7 @@ def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = Non
 
 def _hypercube_tour(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:
     """The tour closed_tour_on_hypercube returns, before it is verified."""
-    if k < 6:
+    if _integers((k,), "k")[0] < 6:
         raise ValueError(
             f"no knight's tour exists on a 2 x 2 x ... x 2 board of dimension {k}; k must be >= 6"
         )

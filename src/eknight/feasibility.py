@@ -5,6 +5,19 @@ bipartite: a squared length of 5 forces an odd taxicab length (3 or 5), so
 every jump switches color.  The verdicts below are sound in one direction
 only: "infeasible" proves no tour of the requested kind exists, "feasible"
 merely passes the necessary conditions.
+
+A closed tour also needs every independent set S (no two cells of S
+adjacent) to satisfy 2|S| <= n, and, if 2|S| = n, to hold one color: a
+Hamiltonian cycle has no two cells of S in a row, so it can only fit n/2 of
+them by alternating S and the rest, which puts every cell of S at the same
+parity of position along the cycle, and so on one color.  The set checked is
+the outer layers of an axis of side 4, the cells at coordinate 0 or 3 on it
+(Schwenk's argument for 4 x n, Math. Mag. 64, 1991, on any number of axes).
+No move joins the two layers, since it would step 3 on that axis, and none
+lies inside a layer exactly when the other sides admit no knight move: no
+L-move, so no other side >= 3 beside a further other side >= 2, and no
+diagonal5 move, so fewer than five other sides >= 2.  This settles every
+closed 4 x n and 2^4 x 4, with or without holes.
 """
 
 from __future__ import annotations
@@ -72,8 +85,36 @@ def _verdict(reasons: Iterable[str], notes: Iterable[str] = ()) -> FeasibilityVe
     return FeasibilityVerdict(not reasons, reasons, tuple(notes))
 
 
+def _outer_layers(board: Board, axis: int) -> int | None:
+    """Bitmask of the non-hole cells at 0 or 3 on an axis of side 4.
+
+    None unless the axis has side 4 and the other sides admit no knight move,
+    which is when no two of those cells are adjacent; decided from the sides
+    alone.  The mask is one block of 4 * w bits (w the axis weight), a layer
+    of w cells at each end, repeated by multiplying with the base-2^(4w)
+    repunit, so no cell is visited.
+    """
+    sides = board.sides
+    if sides[axis] != 4:
+        return None
+    others = sides[:axis] + sides[axis + 1:]
+    wide = sum(s >= 2 for s in others)
+    if wide >= 5 or wide >= 2 and max(others) >= 3:
+        return None
+    w = board._weights[axis]
+    layer = (1 << w) - 1
+    repunit = ((1 << board.box_size) - 1) // ((1 << 4 * w) - 1)
+    return (layer | layer << 3 * w) * repunit & board._index_graph()[2]
+
+
 def closed_tour_necessary(board: Board) -> FeasibilityVerdict:
-    """Necessary conditions for a closed tour (Hamiltonian cycle)."""
+    """Necessary conditions for a closed tour (Hamiltonian cycle).
+
+    Besides the counts, connectivity and degrees, the outer layers of an axis
+    of side 4 refuse the board when they are independent and hold more than
+    half the cells, or exactly half in both colors; the module docstring has
+    the proof.
+    """
     reasons = []
     n = board.vertex_count
     if n == 0:
@@ -90,6 +131,18 @@ def closed_tour_necessary(board: Board) -> FeasibilityVerdict:
         reasons.append(f"min degree {min_degree} < 2")
     if n < 3:
         reasons.append(f"fewer than 3 vertices ({n})")
+    for axis in range(board.dimension):
+        layers = _outer_layers(board, axis)
+        if layers is None:
+            continue
+        size = layers.bit_count()
+        dark = (layers & board._dark_mask()).bit_count()
+        if 2 * size > n or 2 * size == n and 0 < dark < size:
+            reasons.append(
+                f"outer layers of axis {axis} (side 4): {size} of {n} cells, "
+                f"no two adjacent, {dark} dark and {size - dark} light"
+            )
+            break
     return _verdict(reasons)
 
 

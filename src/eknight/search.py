@@ -75,7 +75,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .board import Board, Vertex, _bits, _reachable, _spread
+from .board import Board, Vertex, _bits, _integers, _reachable, _spread
 from .feasibility import closed_tour_necessary, color_counts, open_tour_necessary
 from .tour import Tour, TourKind, _checked
 
@@ -95,6 +95,7 @@ class SearchConfig:
     use_feasibility_precheck=False forces a full search even when the
     necessary-condition scan could short-circuit.
 
+    node_budget and parallel_width must be integers, as sides must.
     node_budget bounds path-push operations.  A budgeted run is always
     sequential, whatever parallel_width says: one budget is spent across all
     root branches, so a budget_exceeded outcome has expanded exactly
@@ -143,7 +144,7 @@ class _Counters:
 
 
 def _check_budget(node_budget: int | None) -> None:
-    if node_budget is not None and node_budget < 1:
+    if node_budget is not None and _integers((node_budget,), "node_budget")[0] < 1:
         raise ValueError("node_budget must be positive")
 
 
@@ -423,7 +424,7 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     if config.target not in (TourKind.OPEN, TourKind.CLOSED):
         raise ValueError(f"search targets open or closed tours, not {config.target.value}")
     _check_budget(config.node_budget)
-    if config.parallel_width < 0:
+    if _integers((config.parallel_width,), "parallel_width")[0] < 0:
         raise ValueError("parallel_width must be >= 0")
     if board.vertex_count < 1:
         raise ValueError("board has no vertices")

@@ -158,6 +158,12 @@ def test_hypercube_rejects_small_k():
             closed_tour_on_hypercube(k)
 
 
+def test_hypercube_rejects_a_fractional_k():
+    # [2] * k used to raise TypeError
+    with pytest.raises(ValueError, match="^k must be integers"):
+        closed_tour_on_hypercube(7.0)
+
+
 def test_hypercube_refuses_a_cube_too_large_to_enumerate(monkeypatch):
     import eknight.construct
     from eknight.cli import run

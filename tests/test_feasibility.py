@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 
-from eknight.board import Board
+from eknight.board import Board, _bits
 from eknight.feasibility import (
+    _outer_layers,
     Color,
     classical_closed_tour_condition,
     closed_tour_necessary,
@@ -12,6 +14,9 @@ from eknight.feasibility import (
     move_decompositions,
     open_tour_necessary,
 )
+from eknight.tour import TourKind
+
+from bruteforce import tour_exists
 
 
 def test_color_examples():
@@ -79,6 +84,90 @@ def test_closed_tour_necessary_tiny():
     verdict = closed_tour_necessary(Board([3, 3], holes=[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]))
     assert not verdict.feasible
     assert any("fewer than 3 vertices" in r for r in verdict.reasons)
+
+
+def _side_four_boxes(max_cells: int, max_axes: int) -> list[tuple[int, ...]]:
+    """Every box of 1..max_axes axes and at most max_cells cells with a side 4."""
+    def boxes(cap, axes):
+        yield ()
+        if axes:
+            for s in range(1, cap + 1):
+                for rest in boxes(cap // s, axes - 1):
+                    yield (s, *rest)
+
+    return [sides for sides in boxes(max_cells, max_axes) if 4 in sides]
+
+
+def test_outer_layers_are_independent_exactly_when_the_sides_say_so():
+    # the side-based check against the graph: no cell of the two layers has a
+    # neighbour in them.  Diagonal5 moves need 2^5 x 4, beyond 64 cells
+    boxes = _side_four_boxes(64, 5) + [(2, 2, 2, 2, 2, 4)]
+    independent = dependent = 0
+    for sides in boxes:
+        board = Board(sides)
+        _, masks, _ = board._index_graph()
+        for axis, side in enumerate(sides):
+            if side != 4:
+                assert _outer_layers(board, axis) is None
+                continue
+            layers = sum(1 << board.index(v) for v in board.vertices() if v[axis] in (0, 3))
+            got = _outer_layers(board, axis)
+            if all(masks[u] & layers == 0 for u in _bits(layers)):
+                assert got == layers, (sides, axis)
+                independent += 1
+            else:
+                assert got is None, (sides, axis)
+                dependent += 1
+    assert len(boxes) > 1000 and independent > 100 and dependent > 100
+
+
+def test_outer_layer_refusals_have_no_closed_tour():
+    # every box of at most 14 cells with a side-4 axis, and every hole set of
+    # those without a side 1; the rule alone must refuse some
+    boxes = _side_four_boxes(14, 4)
+    boards = [Board(sides) for sides in boxes]
+    for sides in (s for s in boxes if 1 not in s):
+        cells = list(itertools.product(*(range(s) for s in sides)))
+        for count in range(1, len(cells) - 2):
+            boards += [Board(sides, holes) for holes in itertools.combinations(cells, count)]
+    refused = alone = 0
+    for board in boards:
+        reasons = closed_tour_necessary(board).reasons
+        if any(r.startswith("outer layers of axis") for r in reasons):
+            assert not tour_exists(board, TourKind.CLOSED), board
+            refused += 1
+            alone += len(reasons) == 1
+    assert refused > 1000 and alone >= 10, (refused, alone)
+
+
+def test_outer_layers_of_one_color_do_not_refuse():
+    # 6 cells, 3 of them in the outer layers, all light: the cycle
+    # (0,1) (2,0) (3,2) (1,1) (3,0) (2,2) alternates them with the rest
+    board = Board([4, 3], holes=[(0, 0), (0, 2), (1, 0), (1, 2), (2, 1), (3, 1)])
+    assert _outer_layers(board, 0).bit_count() * 2 == board.vertex_count
+    assert closed_tour_necessary(board).feasible
+    assert tour_exists(board, TourKind.CLOSED)
+
+
+def test_outer_layers_refuse_four_by_n_and_two_to_the_four_by_four():
+    verdict = closed_tour_necessary(Board([4, 9]))
+    assert verdict.reasons == (
+        "outer layers of axis 0 (side 4): 18 of 36 cells, no two adjacent, 9 dark and 9 light",
+    )
+    verdict = closed_tour_necessary(Board([2, 2, 2, 2, 4]))
+    assert verdict.reasons == (
+        "outer layers of axis 4 (side 4): 32 of 64 cells, no two adjacent, 16 dark and 16 light",
+    )
+    # more than half the cells: the two holes lie in the inner layers
+    verdict = closed_tour_necessary(Board([3, 4], holes=[(0, 1), (1, 2)]))
+    assert verdict.reasons[-1] == (
+        "outer layers of axis 1 (side 4): 6 of 10 cells, no two adjacent, 3 dark and 3 light"
+    )
+    # a knight move inside the layers: 4 x 3 x 2 has a closed tour
+    assert _outer_layers(Board([4, 3, 2]), 0) is None
+    assert closed_tour_necessary(Board([4, 3, 2])).feasible
+    # open tours may hold half their cells in both colors
+    assert open_tour_necessary(Board([4, 3])).feasible
 
 
 def test_open_tour_necessary():

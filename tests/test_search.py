@@ -122,6 +122,25 @@ def test_budget_semantics():
     assert outcome.status is SearchStatus.FOUND
 
 
+def test_find_tour_rejects_a_fractional_budget():
+    # it used to run as budget 50
+    config = SearchConfig(target=TourKind.CLOSED, node_budget=50.5)
+    with pytest.raises(ValueError, match="^node_budget must be integers"):
+        find_tour(Board([4, 8]), config)
+
+
+def test_find_tour_rejects_a_fractional_parallel_width():
+    # it used to raise TypeError from multiprocessing
+    config = SearchConfig(parallel_width=1.5)
+    with pytest.raises(ValueError, match="^parallel_width must be integers"):
+        find_tour(Board([4, 5], holes=[(0, 2)]), config)
+
+
+def test_longest_path_rejects_a_fractional_budget():
+    with pytest.raises(ValueError, match="^node_budget must be integers"):
+        longest_path(Board([3, 3, 3], holes=[(1, 1, 1)]), node_budget=10.5)
+
+
 def test_longest_path_rejects_nonpositive_budget():
     board = Board([3, 3, 3], holes=[(1, 1, 1)])
     for budget in (0, -4):
@@ -246,32 +265,36 @@ def test_no_pool_when_the_first_branch_finds_a_tour(monkeypatch):
         assert par.status is SearchStatus.FOUND
         assert (par.tour.vertices, par.nodes_expanded) == (seq.tour.vertices, seq.nodes_expanded)
     # a closed search is one root branch, run in-process, so even a proof
-    # starts no pool
-    config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, deterministic=False)
+    # starts no pool; the precheck would decide 4x7 before any search
+    config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, deterministic=False,
+                          use_feasibility_precheck=False)
     assert find_tour(Board([4, 7]), config).status is SearchStatus.EXHAUSTED_NONE
 
 
 def test_parallel_workers_receive_run_settings():
     # the determinism flag reaches the workers once, through the pool
-    # initializer, not with each branch; a budgeted run never starts a pool
+    # initializer, not with each branch; a budgeted run never starts a pool.
+    # The precheck would refuse closed 4x8 at 0 nodes, so it is off here
     config = SearchConfig(deterministic=False, parallel_width=2)
     outcome = find_tour(POOLED_BOARDS[0], config)
     assert outcome.status is SearchStatus.FOUND
     assert outcome.tour.report().valid
     config = SearchConfig(
-        target=TourKind.CLOSED, deterministic=False, parallel_width=2, node_budget=50
+        target=TourKind.CLOSED, deterministic=False, parallel_width=2, node_budget=50,
+        use_feasibility_precheck=False,
     )
     assert find_tour(Board([4, 8]), config).status is SearchStatus.BUDGET_EXCEEDED
 
 
 def test_budget_is_exact_in_every_mode():
     # a budgeted run is sequential whatever the mode, so it stops at the push
-    # that breaks the one budget
+    # that breaks the one budget; without the precheck closed 4x8 is searched
     for deterministic in (True, False):
         for width in (0, 2):
             outcome = find_tour(Board([4, 8]), SearchConfig(
                 target=TourKind.CLOSED, node_budget=50,
                 deterministic=deterministic, parallel_width=width,
+                use_feasibility_precheck=False,
             ))
             assert outcome.status is SearchStatus.BUDGET_EXCEEDED
             assert outcome.nodes_expanded == 51
@@ -685,16 +708,18 @@ PINNED_SEARCHES = {
         lambda: find_tour(Board([3, 10]), SearchConfig(target=TourKind.CLOSED)),
         ("found", 41, 30, "3c8efbe1a36b0344"),
     ),
+    # the precheck's outer-layer rule refuses every closed board of side 4
+    # below, so the proofs run with the precheck off
     "closed 4x7 proof": (
-        lambda: prove_nonexistence(Board([4, 7]), TourKind.CLOSED),
+        lambda: prove_nonexistence(Board([4, 7]), TourKind.CLOSED, use_feasibility_precheck=False),
         ("exhausted_none", 411, 16, None),
     ),
     "closed 4x8 proof": (
-        lambda: prove_nonexistence(Board([4, 8]), TourKind.CLOSED),
+        lambda: prove_nonexistence(Board([4, 8]), TourKind.CLOSED, use_feasibility_precheck=False),
         ("exhausted_none", 1836, 23, None),
     ),
     "closed 4x9 proof": (
-        lambda: prove_nonexistence(Board([4, 9]), TourKind.CLOSED),
+        lambda: prove_nonexistence(Board([4, 9]), TourKind.CLOSED, use_feasibility_precheck=False),
         ("exhausted_none", 10818, 29, None),
     ),
     "closed 3x3x6 plain": (
@@ -711,9 +736,23 @@ PINNED_SEARCHES = {
     ),
     "closed 5x4 less two cells proof": (
         # the start's forced neighbour lies below the second vertex
-        lambda: prove_nonexistence(Board([5, 4], holes=[(0, 0), (4, 1)]), TourKind.CLOSED),
+        lambda: prove_nonexistence(Board([5, 4], holes=[(0, 0), (4, 1)]), TourKind.CLOSED,
+                                   use_feasibility_precheck=False),
         ("exhausted_none", 17, 8, None),
     ),
+    **{
+        f"closed {name} precheck": (
+            lambda board=board: prove_nonexistence(board, TourKind.CLOSED),
+            ("exhausted_none", 0, 0, None),
+        )
+        for name, board in [
+            ("4x7", Board([4, 7])),
+            ("4x8", Board([4, 8])),
+            ("4x9", Board([4, 9])),
+            ("5x4 less two cells", Board([5, 4], holes=[(0, 0), (4, 1)])),
+            ("2^4 x 4", Board([2, 2, 2, 2, 4])),
+        ]
+    },
     "open 4x4 budget 300": (
         # the budget runs out several start branches in
         lambda: find_tour(Board([4, 4]), SearchConfig(target=TourKind.OPEN, node_budget=300)),

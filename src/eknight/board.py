@@ -29,7 +29,7 @@ Vertex = tuple[int, ...]
 KNIGHT_SQUARED_LENGTH = 5
 
 _MAX_CELLS = 2**22  # larger boxes are refused before any walk over their cells
-_MAX_GRAPH_BYTES = 2**30  # larger knight graphs are refused before they are built
+_MAX_GRAPH_BYTES = 2**30  # larger knight graphs and cube tours are refused before they are built
 
 
 def squared_distance(a: Vertex, b: Vertex) -> int:

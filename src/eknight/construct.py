@@ -27,7 +27,7 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from . import corpus
-from .board import Board, Vertex, _integers
+from .board import _MAX_GRAPH_BYTES, Board, Vertex, _integers
 from .tour import Tour, TourKind, _checked
 
 DEFAULT_FLIP_MASK: tuple[int, ...] = (0, 1, 2, 3)
@@ -45,6 +45,31 @@ def _validate_mask(mask: Iterable[int], dimension: int) -> tuple[int, ...]:
 
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _tour_bytes(k: int) -> int:
+    """Bytes that building, verifying and printing a tour of the k-cube take.
+
+    Every cell holds a k-tuple, its slot in the tour, its entry in the
+    verifier's position table and about 2k characters of text.  The line is
+    fitted above the peak RSS of `construct --k K` less the interpreter's,
+    measured at K = 16..20 in text and JSON form: 297 to 354 bytes a cell on
+    Python 3.11.
+    """
+    return 2**k * (12 * k + 160)
+
+
+def _cube(k: int) -> Board:
+    """The board of the k-cube, refused before doubling if its tour is too large."""
+    board = Board([2] * k)
+    board._cells()  # refuses a cube too large to enumerate
+    size = _tour_bytes(k)
+    if size > _MAX_GRAPH_BYTES:
+        raise ValueError(
+            f"a closed tour on the {k}-cube would take about {size} bytes, "
+            f"more than the {_MAX_GRAPH_BYTES} this program builds"
+        )
+    return board
 
 
 def _columns(vertices: Sequence[Vertex], k: int) -> list[bytes]:
@@ -79,8 +104,7 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
         raise ValueError(f"no closed tour exists on a {k}-cube; the base needs k >= 6")
     if base.kind is not TourKind.CLOSED:
         raise ValueError(f"base tour must be closed, not {base.kind.value}")
-    result = Board([2] * (k + 1))
-    result._cells()  # refuses a cube too large to enumerate before doubling
+    result = _cube(k + 1)
     report = base.report()
     if not report.valid:
         raise ValueError(
@@ -92,7 +116,7 @@ def extend_closed_tour(base: Tour, mask: Iterable[int] | None = None) -> Tour:
 
 
 def closed_tour_on_hypercube(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tour:
-    """Closed tour on the k-cube for any k >= 6.
+    """Closed tour on the k-cube for any k >= 6 that `_tour_bytes` admits (k <= 21).
 
     k == 6 returns the embedded base tour; larger k iterates the doubling
     step, flipping the default axes (or masks[i] at step i when given,
@@ -110,8 +134,7 @@ def _hypercube_tour(k: int, masks: Sequence[Iterable[int]] | None = None) -> Tou
         )
     if masks is not None and len(masks) != k - 6:
         raise ValueError(f"need {k - 6} masks to reach dimension {k}, got {len(masks)}")
-    board = Board([2] * k)
-    board._cells()  # refuses a cube too large to enumerate before doubling
+    board = _cube(k)
     columns = _columns(corpus.get(corpus.PC_2_6).vertices, 6)
     for level in range(k - 6):
         mask = DEFAULT_FLIP_MASK if masks is None else masks[level]

@@ -59,9 +59,15 @@ from head p to head h takes only p out of the graph, so a node whose parent
 passed its checks re-examines only p's unvisited neighbours (their degrees,
 and whether h still reaches them all), carries the parent's weak or forced
 vertices forward, and counts forced neighbours only next to newly forced
-vertices.  The scan of those neighbours also finds the ones h reaches in two
-steps; a breadth-first search runs only for the others.  The verdicts equal
-those of a full rescan, which only the root makes.
+vertices.  No degree is recounted: a branch keeps each cell's count of
+neighbours among the unvisited cells and the head.  A node that passes its
+checks lists the head's unvisited neighbours once and lowers their counts;
+its children scan that list, and the counts come back when the search next
+checks a node at that depth or above.  The same counts order the successors
+by Warnsdorff's rule, fewest onward moves first.  The scan of p's neighbours
+also finds the ones h reaches in two steps; a breadth-first search runs only
+for the others.  The verdicts equal those of a full rescan, which only the
+root makes.
 """
 
 from __future__ import annotations
@@ -165,7 +171,9 @@ def _prunable(
     visited: int,
     head: int,
     ends: tuple[int, int] | None,
-    parent: tuple[int, int] | None,
+    onward: list[int],
+    beside: bytes,
+    parent: tuple[int, list[int]] | None,
 ) -> tuple[int, int] | None:
     """None if no completion can exist below this node (sound, never lossy).
 
@@ -175,10 +183,15 @@ def _prunable(
     edges forced).  lone is the head's one forced neighbour as a bit mask, or
     0.  ends is None for open targets; for closed targets it is (start,
     second), second being the path's second vertex, or -1 at the root.
-    parent is (previous head, its tight mask) when the previous node passed
-    this check, else None.  With a parent only the cells next to the previous
-    head, and the cells next to newly forced ones, are examined again; without
-    one every unvisited cell is.  Both give the same verdict and state.
+    A cell's usable neighbours number onward[u] + beside[u]: onward counts
+    those among the unvisited cells and the head, beside is 1 for a cell next
+    to a closed tour's start that is not the head, else 0.  Only the counts of
+    the cells examined are read.  parent is the previous node's (tight mask,
+    list of the previous head's unvisited neighbours, the head among them)
+    when that node passed this check, else None.  With a parent only those
+    neighbours, and the cells next to newly forced ones, are examined again;
+    without one every unvisited cell is.  Both give the same verdict and
+    state.
     """
     rest = full & ~visited
     if rest == 0:
@@ -199,26 +212,23 @@ def _prunable(
         if _alternation_bound(dark_mask, cells, head_dark) < rest.bit_count() + 1:
             return None
     if parent is None:
-        scan = rest
+        scan = _bits(rest)
         tight = 0
     else:
         # Stepping from p to head takes p out of the usable cells (unless p
         # is the closed-tour start), so only p's neighbours can lose degree.
         # p reached all of rest | head, so each component of rest | head
         # holds a neighbour of p: it is connected once head reaches them all.
-        p, tight = parent
-        scan = masks[p] & rest
+        tight, scan = parent
         tight &= rest
-    anchor = rest | (1 << head)
-    if start is not None:
-        anchor |= 1 << start
     # head reaches a cell of rest in two steps inside rest when the cell is
     # in near or next to it; far collects the scan cells it may not
     near = masks[head] & rest
     far = fresh = 0
-    for u in _bits(scan):
-        mask = masks[u]
-        degree = (mask & anchor).bit_count()
+    for u in scan:
+        if u == head:
+            continue
+        degree = onward[u] + beside[u]
         if degree < 2:
             if start is not None or degree == 0:
                 return None
@@ -229,7 +239,7 @@ def _prunable(
             # the rest of a closed tour is a path head -> rest -> start, so
             # both edges of this cell are forced
             fresh |= 1 << u
-        if not mask & near:
+        if not masks[u] & near:
             far |= 1 << u
     far &= ~near
     # breadth-first on from near inside rest, until it has reached all of far
@@ -258,26 +268,6 @@ def _prunable(
     if lone & (lone - 1) or last & (last - 1) or last & ~late:
         return None
     return tight, lone
-
-
-def _ordered_successors(
-    masks: list[int],
-    head: int,
-    rest: int,
-    use_warnsdorff: bool,
-    rng: random.Random | None,
-) -> list[int]:
-    """The head's neighbours in rest, the unvisited cells, in the order to try.
-
-    rest is a non-negative mask: an and with a negative int, such as
-    ~visited, costs CPython a complemented copy of it every time.
-    """
-    candidates = list(_bits(masks[head] & rest))
-    if rng is not None:
-        rng.shuffle(candidates)
-    if use_warnsdorff:
-        candidates.sort(key=lambda s: (masks[s] & rest).bit_count())
-    return candidates
 
 
 def _dfs(
@@ -323,28 +313,55 @@ def _search_branch(
     """One root branch as (status, path, nodes it spent, max depth so far).
 
     run holds the constants of the search: (neighbour bitmasks, full mask,
-    dark mask, n, closed, use_warnsdorff).
+    dark mask, n, closed, use_warnsdorff, each cell's degree).
     """
-    masks, full, dark_mask, n, closed, use_warnsdorff = run
+    masks, full, dark_mask, n, closed, use_warnsdorff, degrees = run
     ends = (start, -1) if closed else None
+    # onward[u] counts u's neighbours among the unvisited cells and the head.
+    # A closed tour's start stays usable to the end: beside marks its
+    # neighbours at every node but the root, where the start is the head
+    onward = list(degrees)
+    beside = plain = bytes(len(masks))
+    if closed:
+        beside = bytearray(plain)
+        for u in _bits(masks[start]):
+            beside[u] = 1
 
-    # depth -> (head, tight mask) of the path node at that depth that passed
-    # _prunable; a child reads its parent's entry
-    checked: dict[int, tuple[int, int]] = {}
+    # levels[d - 1] is (tight mask, unvisited neighbours) of the path node at
+    # depth d that passed _prunable: a child reads its parent's entry, and
+    # the counts of those neighbours stay lowered while the entry stands
+    levels: list[tuple[int, list[int]]] = []
 
     def expand(head: int, visited: int) -> list[int]:
         nonlocal ends
         depth = visited.bit_count()
+        # the nodes that passed at this depth or deeper have left the path
+        while len(levels) >= depth:
+            for u in levels.pop()[1]:
+                onward[u] += 1
         if closed and depth == 2:
             ends = (start, head)
-        state = _prunable(masks, full, dark_mask, visited, head, ends, checked.get(depth - 1))
+        state = _prunable(
+            masks, full, dark_mask, visited, head, ends, onward,
+            beside if depth > 1 else plain, levels[-1] if levels else None,
+        )
         if state is None:
             return []
         tight, lone = state
-        checked[depth] = head, tight
+        # below this node the head is visited, so its neighbours lose it
+        cells = list(_bits(masks[head] & ~visited))
+        for u in cells:
+            onward[u] -= 1
+        levels.append((tight, cells))
         if lone:
             return [lone.bit_length() - 1]
-        return _ordered_successors(masks, head, full & ~visited, use_warnsdorff, rng)
+        # reordering cells in place leaves the children's scan verdicts as they are
+        if rng is not None:
+            rng.shuffle(cells)
+        if use_warnsdorff:
+            # fewest onward moves first (Warnsdorff's rule), ties in order
+            cells.sort(key=onward.__getitem__)
+        return cells
 
     def accept(path: list[int]) -> bool:
         if len(path) < n:
@@ -451,7 +468,8 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
 
     parallel = config.parallel_width > 0 and config.node_budget is None
     rng = None if config.deterministic else random.Random()
-    run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff)
+    degrees = [m.bit_count() for m in masks]
+    run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff, degrees)
 
     def branch_results() -> Iterator[tuple]:
         # the first branch runs in-process and often finds the tour alone, so
@@ -560,7 +578,8 @@ def _greedy_walk(masks: list[int], full: int, start: int) -> list[int]:
     """Fewest-onward-moves walk from start; ties go to the smaller index."""
     path = [start]
     rest = full ^ (1 << start)
-    while candidates := _ordered_successors(masks, path[-1], rest, True, None):
-        rest ^= 1 << candidates[0]
-        path.append(candidates[0])
+    while step := masks[path[-1]] & rest:
+        head = min(_bits(step), key=lambda s: (masks[s] & rest).bit_count())
+        rest ^= 1 << head
+        path.append(head)
     return path

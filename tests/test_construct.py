@@ -1,15 +1,20 @@
+import contextlib
 import itertools
+import os
 import random
+import tracemalloc
 
 import pytest
 
 from eknight import corpus
-from eknight.board import Board
+from eknight.board import _MAX_GRAPH_BYTES, Board
+from eknight.cli import run
 from eknight.construct import (
     DEFAULT_FLIP_MASK,
     _columns,
     _double,
     _hypercube_tour,
+    _tour_bytes,
     closed_tour_on_hypercube,
     extend_closed_tour,
 )
@@ -166,7 +171,6 @@ def test_hypercube_rejects_a_fractional_k():
 
 def test_hypercube_refuses_a_cube_too_large_to_enumerate(monkeypatch):
     import eknight.construct
-    from eknight.cli import run
 
     def no_doubling(columns, axes):
         raise AssertionError("doubled a cube the guard should have refused")
@@ -179,6 +183,39 @@ def test_hypercube_refuses_a_cube_too_large_to_enumerate(monkeypatch):
         extend_closed_tour(Tour(Board([2] * 22), TourKind.CLOSED, ()))
     assert run(["construct", "--k", "40"]) == 2
     assert run(["construct", "--k", "40", "--verify-only"]) == 2
+
+
+def test_hypercube_refuses_a_tour_too_large_to_build(monkeypatch):
+    # the 22-cube passes the cell guard, but building, verifying and printing
+    # its tour would take well over the memory limit; the 21-cube is admitted
+    import eknight.construct
+
+    def no_doubling(columns, axes):
+        raise AssertionError("doubled a cube the guard should have refused")
+
+    assert _tour_bytes(21) <= _MAX_GRAPH_BYTES < _tour_bytes(22)
+    monkeypatch.setattr(eknight.construct, "_double", no_doubling)
+    with pytest.raises(ValueError, match="^a closed tour on the 22-cube would take about"):
+        closed_tour_on_hypercube(22)
+    # the guard comes before the base tour is verified, so an empty one will do
+    with pytest.raises(ValueError, match="^a closed tour on the 22-cube would take about"):
+        extend_closed_tour(Tour(Board([2] * 21), TourKind.CLOSED, ()))
+    assert run(["construct", "--k", "22"]) == 2
+    assert run(["construct", "--k", "22", "--verify-only"]) == 2
+
+
+def test_tour_bytes_bounds_the_construction():
+    # the traced peak of the command, text or JSON, stays under the estimate
+    for k in (13, 15):
+        for form in ([], ["--format", "json"]):
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    assert run([*form, "construct", "--k", str(k)]) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= _tour_bytes(k), (k, form, peak)
 
 
 def test_hypercube_mask_list():

@@ -357,10 +357,13 @@ def test_parallel_search_from_a_stdin_script_under_spawn():
 
 
 def test_non_deterministic_mode_still_verifies():
-    board = Board([3, 3], holes=[(1, 1)])
-    outcome = find_tour(board, SearchConfig(target=TourKind.CLOSED, deterministic=False))
-    assert outcome.status is SearchStatus.FOUND
-    assert outcome.tour.report().valid
+    for board, target in (
+        (Board([3, 3], holes=[(1, 1)]), TourKind.CLOSED),
+        (Board([3] * 5), TourKind.OPEN),
+    ):
+        outcome = find_tour(board, SearchConfig(target=target, deterministic=False))
+        assert outcome.status is SearchStatus.FOUND
+        assert outcome.tour.report().valid
 
 
 def test_oracle_agreement_on_random_boards():
@@ -441,6 +444,15 @@ ENDS_RULES = {
 }
 
 
+def _usable_counts(masks, full, visited, head, ends):
+    """_prunable's onward and beside tables at a node, recounted from scratch."""
+    rest = full & ~visited
+    onward = [(m & (rest | 1 << head)).bit_count() for m in masks]
+    start = head if ends is None else ends[0]
+    beside = bytes(start != head and m >> start & 1 for m in masks)
+    return onward, beside
+
+
 def test_oracle_agreement_without_precheck(monkeypatch):
     # the DFS prune rules alone decide here, the closed-tour rules included.
     # Every closed node's verdict, forced cells and forced successor are also
@@ -452,8 +464,8 @@ def test_oracle_agreement_without_precheck(monkeypatch):
     prunable = eknight.search._prunable
     fired = collections.Counter()
 
-    def checked(masks, full, dark_mask, visited, head, ends, parent):
-        got = prunable(masks, full, dark_mask, visited, head, ends, parent)
+    def checked(masks, full, dark_mask, visited, head, ends, *counts_and_parent):
+        got = prunable(masks, full, dark_mask, visited, head, ends, *counts_and_parent)
         if ends is not None and full & ~visited:
             rules, forced, lone = _closed_cut_rules(masks, full, dark_mask, visited, head, ends)
             assert (got is None) == bool(rules), rules
@@ -494,10 +506,11 @@ def test_incremental_prune_matches_full_scan(monkeypatch):
     compared = []
     closed_states = []
 
-    def both(masks, full, dark_mask, visited, head, ends, parent):
-        got = prunable(masks, full, dark_mask, visited, head, ends, parent)
+    def both(masks, full, dark_mask, visited, head, ends, onward, beside, parent):
+        node = (masks, full, dark_mask, visited, head, ends, onward, beside)
+        got = prunable(*node, parent)
         if parent is not None:
-            assert got == prunable(masks, full, dark_mask, visited, head, ends, None)
+            assert got == prunable(*node, None)
             compared.append(ends is None)
             if ends is not None and got is not None:
                 closed_states.append(got)
@@ -521,6 +534,48 @@ def test_incremental_prune_matches_full_scan(monkeypatch):
                                   use_feasibility_precheck=False)
             find_tour(board, config)
     assert len(compared) > 1000
+
+
+def test_onward_counts_match_a_recount(monkeypatch):
+    # the search keeps each cell's count of usable neighbours as it pushes
+    # and backtracks; at every node it checks, the counts of the cells the
+    # check scans must equal a recount, in open and closed searches, from
+    # explicit starts and in random successor order
+    prunable = eknight.search._prunable
+    scanned = collections.Counter()
+    last_depth = 0
+
+    def recounted(masks, full, dark_mask, visited, head, ends, onward, beside, parent):
+        nonlocal last_depth
+        depth = visited.bit_count()
+        node = "after backtracking" if depth <= last_depth else "deeper"
+        last_depth = depth
+        scan = _bits(full & ~visited) if parent is None else parent[1]
+        expected_onward, expected_beside = _usable_counts(masks, full, visited, head, ends)
+        for u in scan:
+            if u != head:
+                assert onward[u] == expected_onward[u], (u, head, visited)
+                assert beside[u] == expected_beside[u], (u, head, visited)
+                scanned[node] += 1
+                scanned["beside the start"] += beside[u]
+        return prunable(masks, full, dark_mask, visited, head, ends, onward, beside, parent)
+
+    monkeypatch.setattr(eknight.search, "_prunable", recounted)
+    rng = random.Random(4669)
+    boards = [random_board(rng, max_vertices=16) for _ in range(40)]
+    boards += [Board([5, 6]), Board([4, 7]), Board([4, 5], holes=[(0, 2)]),
+               Board([3, 3, 3], holes=[(1, 1, 1)])]
+    for board in boards:
+        cells = list(board.vertices())
+        for target in (TourKind.OPEN, TourKind.CLOSED):
+            for start in (None, cells[len(cells) // 2]):
+                for deterministic in (True, False):
+                    last_depth = 0
+                    config = SearchConfig(target=target, start=start, deterministic=deterministic,
+                                          use_feasibility_precheck=False)
+                    find_tour(board, config)
+    assert scanned["after backtracking"] > 10_000 and scanned["deeper"] > 10_000, scanned
+    assert scanned["beside the start"] > 200, scanned
 
 
 def test_prune_scan_matches_the_breadth_first_reference(monkeypatch):
@@ -556,17 +611,20 @@ def test_prune_scan_matches_the_breadth_first_reference(monkeypatch):
                     if closed and len(path) == 2:
                         ends = (start, head)
                     node = (masks, full, dark_mask, visited, head, ends)
-                    expected = reference_prunable(*node, parent)
-                    for state in (parent, None):
+                    expected = reference_prunable(*node, parent and parent[:2])
+                    counts = _usable_counts(masks, full, visited, head, ends)
+                    for state in (parent and parent[1:], None):
                         levels = 0
-                        got = prunable(*node, state)
+                        got = prunable(*node, *counts, state)
                         assert got == expected, (board, path, closed, state)
                         if not closed and levels:
                             fallback["reached" if got else "cut"] += 1
                     successors = list(_bits(masks[head] & ~visited))
                     if expected is None or not successors:
                         break
-                    parent = head, expected[0]
+                    # (previous head, its tight mask) for the reference,
+                    # (tight mask, unvisited neighbours) for the scan
+                    parent = head, expected[0], successors
                     path.append(rng.choice(successors))
                     visited |= 1 << path[-1]
     assert fallback["reached"] and fallback["cut"], fallback
@@ -769,6 +827,19 @@ PINNED_SEARCHES = {
     "closed 5x6 parallel 2": (
         lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED, parallel_width=2)),
         ("found", 562, 30, "5143bc80de82cbe2"),
+    ),
+    # the paper's large boards, where each cell has dozens of neighbours
+    "open 3^6": (
+        lambda: find_tour(Board([3] * 6)),
+        ("found", 729, 729, "fa85b74672b13145"),
+    ),
+    "open 3^7": (
+        lambda: find_tour(Board([3] * 7)),
+        ("found", 2187, 2187, "6e4d5f4b3230a7ae"),
+    ),
+    "closed 3^6 less its centre": (
+        lambda: find_tour(Board([3] * 6, holes=[(1,) * 6]), SearchConfig(target=TourKind.CLOSED)),
+        ("found", 739, 728, "055db80cffe81a1d"),
     ),
 }
 

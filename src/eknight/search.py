@@ -61,13 +61,13 @@ and whether h still reaches them all), carries the parent's weak or forced
 vertices forward, and counts forced neighbours only next to newly forced
 vertices.  No degree is recounted: a branch keeps each cell's count of
 neighbours among the unvisited cells and the head.  A node that passes its
-checks lists the head's unvisited neighbours once and lowers their counts;
-its children scan that list, and the counts come back when the search next
-checks a node at that depth or above.  The same counts order the successors
-by Warnsdorff's rule, fewest onward moves first.  The scan of p's neighbours
-also finds the ones h reaches in two steps; a breadth-first search runs only
-for the others.  The verdicts equal those of a full rescan, which only the
-root makes.
+checks lists the head's unvisited neighbours, lowers their counts and pushes
+the list; its children scan that list, and after the last child the node's
+expansion pops it and raises the counts again.  The same counts order the
+successors by Warnsdorff's rule, fewest onward moves first.  The scan of p's
+neighbours also finds the ones h reaches in two steps; a breadth-first
+search runs only for the others.  The verdicts equal those of a full rescan,
+which the root makes: its parent's list holds every cell.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import multiprocessing
 import os
 import random
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,7 +173,7 @@ def _prunable(
     ends: tuple[int, int] | None,
     onward: list[int],
     beside: bytes,
-    parent: tuple[int, list[int]] | None,
+    parent: tuple[int, list[int]],
 ) -> tuple[int, int] | None:
     """None if no completion can exist below this node (sound, never lossy).
 
@@ -187,11 +187,10 @@ def _prunable(
     those among the unvisited cells and the head, beside is 1 for a cell next
     to a closed tour's start that is not the head, else 0.  Only the counts of
     the cells examined are read.  parent is the previous node's (tight mask,
-    list of the previous head's unvisited neighbours, the head among them)
-    when that node passed this check, else None.  With a parent only those
-    neighbours, and the cells next to newly forced ones, are examined again;
-    without one every unvisited cell is.  Both give the same verdict and
-    state.
+    list of the previous head's unvisited neighbours, the head among them),
+    that node having passed this check; the root's parent is (0, every
+    cell).  Only the cells of that list, and the cells next to newly forced
+    ones, are examined, which gives the verdict and state of a full rescan.
     """
     rest = full & ~visited
     if rest == 0:
@@ -211,16 +210,13 @@ def _prunable(
         cells = rest | (1 << start)
         if _alternation_bound(dark_mask, cells, head_dark) < rest.bit_count() + 1:
             return None
-    if parent is None:
-        scan = _bits(rest)
-        tight = 0
-    else:
-        # Stepping from p to head takes p out of the usable cells (unless p
-        # is the closed-tour start), so only p's neighbours can lose degree.
-        # p reached all of rest | head, so each component of rest | head
-        # holds a neighbour of p: it is connected once head reaches them all.
-        tight, scan = parent
-        tight &= rest
+    # Stepping from p to head takes p out of the usable cells (unless p is
+    # the closed-tour start), so only p's neighbours can lose degree.  p
+    # reached all of rest | head, so each component of rest | head holds a
+    # neighbour of p: it is connected once head reaches them all.  The
+    # root's list holds every cell, so there the scan is a full one.
+    tight, scan = parent
+    tight &= rest
     # head reaches a cell of rest in two steps inside rest when the cell is
     # in near or next to it; far collects the scan cells it may not
     near = masks[head] & rest
@@ -272,16 +268,18 @@ def _prunable(
 
 def _dfs(
     start: int,
-    expand: Callable[[int, int], list[int]],
+    expand: Callable[[int, int], Iterable[int]],
     accept: Callable[[list[int]], bool],
     counters: _Counters,
 ) -> list[int] | None:
     """Depth-first walk of the simple paths from start; the one search loop.
 
-    expand(head, visited) lists the successors to try in order ([] cuts the
-    branch) and is called for every node, the root included; accept(path)
+    expand(head, visited) gives the successors to try in order (none cuts
+    the branch) and is called for every node, the root included; accept(path)
     runs after every push, and True stops the walk with that path.  Every
-    push is charged to counters.
+    push is charged to counters.  A generator expansion runs on after its
+    last successor only when the walk below it exhausts; a found path or a
+    spent budget leaves it suspended.
     """
     path = [start]
     visited = 1 << start
@@ -313,55 +311,54 @@ def _search_branch(
     """One root branch as (status, path, nodes it spent, max depth so far).
 
     run holds the constants of the search: (neighbour bitmasks, full mask,
-    dark mask, n, closed, use_warnsdorff, each cell's degree).
+    dark mask, every cell in index order, closed, use_warnsdorff, each
+    cell's degree).
     """
-    masks, full, dark_mask, n, closed, use_warnsdorff, degrees = run
+    masks, full, dark_mask, every, closed, use_warnsdorff, degrees = run
+    n = len(every)
     ends = (start, -1) if closed else None
     # onward[u] counts u's neighbours among the unvisited cells and the head.
-    # A closed tour's start stays usable to the end: beside marks its
-    # neighbours at every node but the root, where the start is the head
+    # A closed tour's start stays usable to the end: once the root passes,
+    # beside marks its neighbours
     onward = list(degrees)
-    beside = plain = bytes(len(masks))
-    if closed:
-        beside = bytearray(plain)
-        for u in _bits(masks[start]):
-            beside[u] = 1
+    beside = bytearray(len(masks))
+    # (0, every cell) for the root's check, then (tight mask, unvisited
+    # neighbours) per expansion in progress: a check reads the last entry,
+    # and an entry's neighbours keep their counts lowered while it stands
+    levels: list[tuple[int, list[int]]] = [(0, every)]
 
-    # levels[d - 1] is (tight mask, unvisited neighbours) of the path node at
-    # depth d that passed _prunable: a child reads its parent's entry, and
-    # the counts of those neighbours stay lowered while the entry stands
-    levels: list[tuple[int, list[int]]] = []
-
-    def expand(head: int, visited: int) -> list[int]:
+    def expand(head: int, visited: int) -> Iterator[int]:
         nonlocal ends
-        depth = visited.bit_count()
-        # the nodes that passed at this depth or deeper have left the path
-        while len(levels) >= depth:
-            for u in levels.pop()[1]:
-                onward[u] += 1
+        depth = len(levels)
         if closed and depth == 2:
             ends = (start, head)
-        state = _prunable(
-            masks, full, dark_mask, visited, head, ends, onward,
-            beside if depth > 1 else plain, levels[-1] if levels else None,
-        )
+        state = _prunable(masks, full, dark_mask, visited, head, ends, onward, beside, levels[-1])
         if state is None:
-            return []
+            return
         tight, lone = state
         # below this node the head is visited, so its neighbours lose it
         cells = list(_bits(masks[head] & ~visited))
+        # a found path holds this frame once per cell: drop the masks it no longer needs
+        del visited, state
         for u in cells:
             onward[u] -= 1
+        if closed and depth == 1:
+            for u in cells:
+                beside[u] = 1
         levels.append((tight, cells))
         if lone:
-            return [lone.bit_length() - 1]
-        # reordering cells in place leaves the children's scan verdicts as they are
-        if rng is not None:
-            rng.shuffle(cells)
-        if use_warnsdorff:
-            # fewest onward moves first (Warnsdorff's rule), ties in order
-            cells.sort(key=onward.__getitem__)
-        return cells
+            yield lone.bit_length() - 1
+        else:
+            # reordering cells in place leaves the children's scan verdicts as they are
+            if rng is not None:
+                rng.shuffle(cells)
+            if use_warnsdorff:
+                # fewest onward moves first (Warnsdorff's rule), ties in order
+                cells.sort(key=onward.__getitem__)
+            yield from cells
+        levels.pop()
+        for u in cells:
+            onward[u] += 1
 
     def accept(path: list[int]) -> bool:
         if len(path) < n:
@@ -438,6 +435,8 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     found tour is re-verified before being returned.
     """
     config = config or SearchConfig()
+    if not isinstance(config.target, TourKind):
+        raise ValueError(f"search target must be a TourKind, not {config.target!r}")
     if config.target not in (TourKind.OPEN, TourKind.CLOSED):
         raise ValueError(f"search targets open or closed tours, not {config.target.value}")
     _check_budget(config.node_budget)
@@ -455,12 +454,13 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
 
     _, masks, full = board._index_graph()
     dark_mask = board._dark_mask()
+    every = list(_bits(full))
     if start is not None:
         starts = [start]
     elif closed:
-        starts = [next(_bits(full))]
+        starts = every[:1]
     else:
-        starts = list(_bits(full))
+        starts = every
         dark, light = color_counts(board)
         if abs(dark - light) == 1:
             # any open tour must start and end on the majority color
@@ -469,7 +469,7 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     parallel = config.parallel_width > 0 and config.node_budget is None
     rng = None if config.deterministic else random.Random()
     degrees = [m.bit_count() for m in masks]
-    run = (masks, full, dark_mask, board.vertex_count, closed, config.use_warnsdorff, degrees)
+    run = (masks, full, dark_mask, every, closed, config.use_warnsdorff, degrees)
 
     def branch_results() -> Iterator[tuple]:
         # the first branch runs in-process and often finds the tour alone, so
@@ -524,7 +524,8 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     Exhausts a branch-and-bound sweep over every start vertex; the bound is
     the count of still-reachable vertices refined by color alternation, so
     pruned branches provably cannot beat the incumbent.  Greedy seed walks
-    raise the pruning floor first and are not counted against the budget.
+    raise the pruning floor first and are not counted against the budget;
+    they stop at the first walk that meets the colour-alternation cap.
     With a binding budget the best path found so far is returned with status
     budget_exceeded.
     """
@@ -535,12 +536,16 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     n = board.vertex_count
     dark_mask = board._dark_mask()
 
+    # every link switches colour, so no path holds more than one cell beyond
+    # twice the minority colour's
+    dark = dark_mask.bit_count()
+    cap = min(n, 2 * min(dark, n - dark) + 1)
     best: list[int] = []
     for s in _bits(full):
         walk = _greedy_walk(masks, full, s)
         if len(walk) > len(best):
             best = walk
-            if len(best) == n:
+            if len(best) == cap:
                 break
 
     def expand(head: int, visited: int) -> list[int]:

@@ -143,8 +143,10 @@ def verify(
     kind, and the sequence is walked in Python only at repeated vertices.
     The report order is the module docstring's.  Endpoint squared distance
     and the per-link taxicab histogram are always computed, even for invalid
-    sequences.
+    sequences.  A claimed kind that is not a `TourKind` raises ValueError.
     """
+    if not isinstance(claimed, TourKind):
+        raise ValueError(f"claimed kind must be a TourKind, not {claimed!r}")
     k, sides, holes = board.dimension, board.sides, board.holes
     vs = list(map(tuple, vertices))
     wrong = next(compress(vs, map(k.__ne__, map(len, vs))), None)

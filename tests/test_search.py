@@ -105,6 +105,26 @@ def test_longest_path_stops_at_a_full_path_no_greedy_seed_found():
     assert len(outcome.tour.vertices) == board.vertex_count == 25
 
 
+def test_greedy_seeding_stops_at_the_colour_cap(monkeypatch):
+    # two light cells less leave 3^5 with 2 * 119 + 1 = 239 as the longest
+    # any path can be, since every link switches colour; the first seed walk
+    # reaches it, so the other 240 starts are not walked
+    walk = eknight.search._greedy_walk
+    walks = []
+
+    def counted(masks, full, start):
+        walks.append(start)
+        return walk(masks, full, start)
+
+    monkeypatch.setattr(eknight.search, "_greedy_walk", counted)
+    board = Board([3] * 5, holes=[(0, 0, 0, 0, 1), (0, 0, 0, 1, 0)])
+    outcome = longest_path(board, node_budget=10)
+    assert len(walks) == 1
+    assert (outcome.status, outcome.nodes_expanded, outcome.max_depth_reached) == (
+        SearchStatus.BUDGET_EXCEEDED, 11, 239
+    )
+
+
 def test_budget_semantics():
     outcome = find_tour(
         Board([2] * 6),
@@ -199,6 +219,18 @@ def test_config_validation():
         find_tour(board, SearchConfig(parallel_width=-1))
     with pytest.raises(ValueError):
         find_tour(Board([2, 2], holes=[(0, 0), (0, 1), (1, 0), (1, 1)]))
+
+
+def test_find_tour_refuses_a_target_that_is_no_tour_kind():
+    # a string target used to raise AttributeError while building the message
+    board = Board([3, 3])
+    for target in ("closed", "open"):
+        with pytest.raises(ValueError, match="^search target must be a TourKind, not '"):
+            find_tour(board, SearchConfig(target=target))
+    for kind in (TourKind.NEAR_CLOSED, TourKind.PATH):
+        message = f"^search targets open or closed tours, not {kind.value}$"
+        with pytest.raises(ValueError, match=message):
+            find_tour(board, SearchConfig(target=kind))
 
 
 def test_single_vertex_board():
@@ -509,11 +541,10 @@ def test_incremental_prune_matches_full_scan(monkeypatch):
     def both(masks, full, dark_mask, visited, head, ends, onward, beside, parent):
         node = (masks, full, dark_mask, visited, head, ends, onward, beside)
         got = prunable(*node, parent)
-        if parent is not None:
-            assert got == prunable(*node, None)
-            compared.append(ends is None)
-            if ends is not None and got is not None:
-                closed_states.append(got)
+        assert got == prunable(*node, (0, list(_bits(full & ~visited))))
+        compared.append(ends is None)
+        if ends is not None and got is not None:
+            closed_states.append(got)
         return got
 
     monkeypatch.setattr(eknight.search, "_prunable", both)
@@ -550,9 +581,8 @@ def test_onward_counts_match_a_recount(monkeypatch):
         depth = visited.bit_count()
         node = "after backtracking" if depth <= last_depth else "deeper"
         last_depth = depth
-        scan = _bits(full & ~visited) if parent is None else parent[1]
         expected_onward, expected_beside = _usable_counts(masks, full, visited, head, ends)
-        for u in scan:
+        for u in parent[1]:
             if u != head:
                 assert onward[u] == expected_onward[u], (u, head, visited)
                 assert beside[u] == expected_beside[u], (u, head, visited)
@@ -578,9 +608,34 @@ def test_onward_counts_match_a_recount(monkeypatch):
     assert scanned["beside the start"] > 200, scanned
 
 
+def test_each_expansion_restores_the_counts_it_lowers(monkeypatch):
+    # a proof exhausts every branch, so once each branch's search is over its
+    # onward counts must be the full degrees again, the root's lowering
+    # undone too
+    prunable = eknight.search._prunable
+    tables = {}
+
+    def kept(masks, full, dark_mask, visited, head, ends, onward, *rest):
+        tables[id(onward)] = masks, onward
+        return prunable(masks, full, dark_mask, visited, head, ends, onward, *rest)
+
+    monkeypatch.setattr(eknight.search, "_prunable", kept)
+    for board, target in [
+        (Board([4, 4]), TourKind.OPEN),
+        (Board([4, 8]), TourKind.CLOSED),
+        (Board([3, 3, 3], holes=[(1, 1, 1)]), TourKind.OPEN),
+    ]:
+        tables.clear()
+        outcome = prove_nonexistence(board, target, use_feasibility_precheck=False)
+        assert outcome.status is SearchStatus.EXHAUSTED_NONE
+        assert tables
+        for masks, onward in tables.values():
+            assert onward == [m.bit_count() for m in masks], board
+
+
 def test_prune_scan_matches_the_breadth_first_reference(monkeypatch):
     # along random path prefixes, each node's verdict and state, with its
-    # parent's state and without, equal those of the check that searches
+    # parent's state and with a full scan, equal those of the check that searches
     # breadth-first before its degree scan.  The search that the scan's
     # two-step reach leaves to do must run on some open nodes, and must end
     # both in reaching every scan cell and in a cut
@@ -613,7 +668,8 @@ def test_prune_scan_matches_the_breadth_first_reference(monkeypatch):
                     node = (masks, full, dark_mask, visited, head, ends)
                     expected = reference_prunable(*node, parent and parent[:2])
                     counts = _usable_counts(masks, full, visited, head, ends)
-                    for state in (parent and parent[1:], None):
+                    full_scan = 0, list(_bits(full & ~visited))
+                    for state in (parent[1:] if parent else full_scan, full_scan):
                         levels = 0
                         got = prunable(*node, *counts, state)
                         assert got == expected, (board, path, closed, state)

@@ -90,6 +90,21 @@ def test_verify_domain_errors_are_not_reports():
         verify(board, [(0, 0, 0)], TourKind.OPEN)
 
 
+def test_verify_refuses_a_claim_that_is_no_tour_kind():
+    # a string claim used to skip every kind check, so an open tour passed
+    # as a closed one
+    board = Board([3, 4])
+    vertices = find_tour(board, SearchConfig()).tour.vertices
+    assert not verify(board, vertices, TourKind.CLOSED).valid
+    for claimed in ("closed", "open", None):
+        with pytest.raises(ValueError, match="^claimed kind must be a TourKind"):
+            verify(board, vertices, claimed)
+    tour = Tour(board, "closed", vertices)
+    for check in (tour.report, lambda: _checked(tour)):
+        with pytest.raises(ValueError, match="^claimed kind must be a TourKind"):
+            check()
+
+
 def test_verify_coverage_and_duplicates():
     board = Board([3, 3], holes=[(1, 1)])
     cycle = corpus.get(corpus.PC_3_2_HOLE).vertices

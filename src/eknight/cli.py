@@ -1,12 +1,13 @@
 """Command-line surface binding all the modules together.
 
 Subcommands: verify, analyze, search, longest, construct, distance, corpus,
-export-dot, classical.  Exit codes: 0 success / valid / feasible / found;
-1 invalid tour, infeasible board, exhausted or budget-bound search,
-unreachable target; 2 usage or input errors.  `--format json` emits one
-sorted-key JSON object per run so output is byte-stable, except that
-`corpus show` and `export-dot` print their tour-file or DOT text in both
-modes; found tours go to stdout as tour files, diagnostics to stderr.
+export-dot, classical.  Each returns (exit code, JSON payload, text), and `run`
+alone writes stdout: one sorted-key JSON object under `--format json`, so
+output is byte-stable, else the text.  `corpus show` and `export-dot` have no
+payload and print their tour-file or DOT text in both modes.  Found tours are
+tour files; the search summary goes to stderr.  Exit codes: 0 success / valid /
+feasible / found; 1 invalid tour, infeasible board, exhausted or budget-bound
+search, unreachable target; 2 usage or input errors and failed stdout writes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .tour import (
     verify,
 )
 
+# exit code, JSON payload (None: the text in both modes), text-mode stdout;
+# a dataclass in the payload is written as the object of its fields
+_Output = tuple[int, dict | None, str]
+
 
 def _add_board_arguments(parser: argparse.ArgumentParser, tour: bool = False) -> None:
     # --hole follows the whole group: argparse's usage line draws only a contiguous group
@@ -63,30 +68,12 @@ def _board_from_args(args: argparse.Namespace) -> Board | None:
     return None
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _text(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _report_payload(kind: TourKind, report: VerificationReport) -> dict:
-    return {
-        "kind": kind.value,
-        "valid": report.valid,
-        "entry_count": report.entry_count,
-        "link_count": report.link_count,
-        "endpoint_squared_distance": report.endpoint_squared_distance,
-        "move_taxicab_counts": {str(k): v for k, v in report.move_taxicab_counts.items()},
-        "violations": [
-            {"index": v.index, "description": v.description} for v in report.violations
-        ],
-    }
-
-
-def _emit_report(args: argparse.Namespace, kind: TourKind, report: VerificationReport) -> int:
-    """Emit a verification report; the exit code is 0 for a valid tour, else 1."""
+def _report(kind: TourKind, report: VerificationReport) -> _Output:
+    """A verification report; the exit code is 0 for a valid tour, else 1."""
     links = f"{report.link_count}+1" if kind is TourKind.CLOSED else str(report.link_count)
     lines = [
         f"kind: {kind.value}",
@@ -101,25 +88,18 @@ def _emit_report(args: argparse.Namespace, kind: TourKind, report: VerificationR
         ),
     ]
     lines.extend(f"violation at index {v.index}: {v.description}" for v in report.violations)
-    _emit(args, _report_payload(kind, report), lines)
-    return 0 if report.valid else 1
+    # str keys: sort_keys would put int 3 before 10, which str keys do not
+    counts = {str(k): v for k, v in report.move_taxicab_counts.items()}
+    payload = {**vars(report), "kind": kind.value, "move_taxicab_counts": counts}
+    return 0 if report.valid else 1, payload, _text(lines)
 
 
-def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
-    return {
-        "feasible": verdict.feasible,
-        "reasons": list(verdict.reasons),
-        "notes": list(verdict.notes),
-    }
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     board, kind, vertices = parse_tour(Path(args.file).read_text(encoding="utf-8"))
-    report = verify(board, vertices, kind, all_violations=args.all_violations)
-    return _emit_report(args, kind, report)
+    return _report(kind, verify(board, vertices, kind, all_violations=args.all_violations))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> _Output:
     board = _board_from_args(args)
     dark, light = color_counts(board)
     connected = board.is_connected() if board.vertex_count else False
@@ -147,39 +127,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "degree histogram: " + (" ".join(f"{k}:{v}" for k, v in histogram.items()) or "(empty)"),
     ]
     for name, verdict in verdicts.items():
-        payload[name] = _verdict_payload(verdict)
+        payload[name] = verdict
         lines.append(f"{name} tour: {'feasible' if verdict.feasible else 'infeasible'}")
         lines.extend(f"  - {reason}" for reason in verdict.reasons)
         lines.extend(f"  note: {note}" for note in verdict.notes)
-    _emit(args, payload, lines)
-    return 0 if any(v.feasible for v in verdicts.values()) else 1
+    return 0 if any(v.feasible for v in verdicts.values()) else 1, payload, _text(lines)
 
 
-def _emit_tour(args: argparse.Namespace, payload: dict, tour: Tour | None) -> None:
-    """Tour-file text on stdout; under --format json, payload plus "tour" (text or null)."""
-    text = tour.serialized() if tour else None
-    if args.format == "json":
-        print(json.dumps({**payload, "tour": text}, sort_keys=True))
-    elif text is not None:
-        sys.stdout.write(text)
-
-
-def _emit_outcome(args: argparse.Namespace, outcome: SearchOutcome, depth_label: str) -> int:
-    """Report a search outcome: summary on stderr, tour or JSON on stdout."""
+def _outcome(outcome: SearchOutcome, depth_label: str) -> _Output:
+    """A search outcome: summary on stderr now, the tour file as the text."""
     print(
         f"status: {outcome.status.value}  nodes: {outcome.nodes_expanded}  {depth_label}",
         file=sys.stderr,
     )
+    text = outcome.tour.serialized() if outcome.tour else None
     payload = {
         "status": outcome.status.value,
         "nodes_expanded": outcome.nodes_expanded,
         "max_depth_reached": outcome.max_depth_reached,
+        "tour": text,
     }
-    _emit_tour(args, payload, outcome.tour)
-    return 0 if outcome.status is SearchStatus.FOUND else 1
+    return 0 if outcome.status is SearchStatus.FOUND else 1, payload, text or ""
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> _Output:
     board = _board_from_args(args)
     config = SearchConfig(
         target=TourKind(args.target),
@@ -190,39 +161,38 @@ def _cmd_search(args: argparse.Namespace) -> int:
         parallel_width=args.parallel,
     )
     outcome = find_tour(board, config)
-    return _emit_outcome(args, outcome, f"max depth: {outcome.max_depth_reached}")
+    return _outcome(outcome, f"max depth: {outcome.max_depth_reached}")
 
 
-def _cmd_longest(args: argparse.Namespace) -> int:
+def _cmd_longest(args: argparse.Namespace) -> _Output:
     board = _board_from_args(args)
     outcome = longest_path(board, node_budget=args.budget)
-    return _emit_outcome(args, outcome, f"best: {outcome.max_depth_reached} vertices")
+    return _outcome(outcome, f"best: {outcome.max_depth_reached} vertices")
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> _Output:
     masks = [parse_vertex(m) for m in args.mask] or None
     if args.verify_only:
         # this report is the one verification: closed_tour_on_hypercube
         # would verify the tour once more before it is reported
         tour = _hypercube_tour(args.k, masks)
-        return _emit_report(args, tour.kind, tour.report())
+        return _report(tour.kind, tour.report())
     tour = closed_tour_on_hypercube(args.k, masks)
-    _emit_tour(args, {"k": args.k, "vertex_count": len(tour.vertices)}, tour)
-    return 0
+    text = tour.serialized()
+    return 0, {"k": args.k, "vertex_count": len(tour.vertices), "tour": text}, text
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(args: argparse.Namespace) -> _Output:
     board = _board_from_args(args)
     src = parse_vertex(args.src)
     dst = parse_vertex(args.dst)
     jumps = board.knight_distance(src, dst)
     payload = {"from": list(src), "to": list(dst), "jumps": jumps}
     text = "unreachable" if jumps is None else str(jumps)
-    _emit(args, payload, [f"jumps: {text}"])
-    return 0 if jumps is not None else 1
+    return 0 if jumps is not None else 1, payload, f"jumps: {text}\n"
 
 
-def _cmd_corpus(args: argparse.Namespace) -> int:
+def _cmd_corpus(args: argparse.Namespace) -> _Output:
     if args.corpus_command == "list":
         entries = [corpus.get(i) for i in corpus.ids()]
         payload = {
@@ -240,33 +210,28 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             f"{e.id}: {e.kind.value}, {len(e.vertices)} entries -- {e.provenance}"
             for e in entries
         ]
-        _emit(args, payload, lines)
-        return 0
+        return 0, payload, _text(lines)
     if args.corpus_command == "show":
-        sys.stdout.write(corpus.raw_text(args.id))
-        return 0
+        return 0, None, corpus.raw_text(args.id)
     # check-all
-    results, lines, valid = {}, [], True
+    results, lines = {}, []
     for entry_id in corpus.ids():
         entry = corpus.get(entry_id)
         report = entry.tour().report()
-        results[entry_id] = _report_payload(entry.kind, report)
+        results[entry_id] = _report(entry.kind, report)[1]
         status = "ok" if report.valid else "INVALID"
         lines.append(f"{entry_id}: {status} ({report.entry_count} entries)")
         lines.extend(f"  violation at index {v.index}: {v.description}" for v in report.violations)
-        valid = valid and report.valid
-    _emit(args, {"results": results}, lines)
-    return 0 if valid else 1
+    valid = all(result["valid"] for result in results.values())
+    return 0 if valid else 1, {"results": results}, _text(lines)
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: argparse.Namespace) -> _Output:
     board = _board_from_args(args)
     if board is None:
         board, kind, vertices = parse_tour(Path(args.tour).read_text(encoding="utf-8"))
-        print(_tour_dot(Tour(board, kind, tuple(vertices))))
-    else:
-        print(_board_dot(board))
-    return 0
+        return 0, None, _tour_dot(Tour(board, kind, tuple(vertices)))
+    return 0, None, _board_dot(board)
 
 
 def _edge_label(a, b) -> str:
@@ -288,7 +253,7 @@ def _board_dot(board: Board) -> str:
                     f'[label="{_edge_label(v, w)}"];'
                 )
     lines.append("}")
-    return "\n".join(lines)
+    return _text(lines)
 
 
 def _tour_dot(tour: Tour) -> str:
@@ -303,18 +268,14 @@ def _tour_dot(tour: Tour) -> str:
             f'[label="{i + 1} {_edge_label(a, b)}"];'
         )
     lines.append("}")
-    return "\n".join(lines)
+    return _text(lines)
 
 
-def _cmd_classical(args: argparse.Namespace) -> int:
+def _cmd_classical(args: argparse.Namespace) -> _Output:
     sides = parse_vertex(args.sides)
     result = classical_closed_tour_condition(sides)
-    _emit(
-        args,
-        {"sides": sorted(sides), "closed_tour": result},
-        [f"classical closed tour: {'yes' if result else 'no'}"],
-    )
-    return 0 if result else 1
+    text = f"classical closed tour: {'yes' if result else 'no'}\n"
+    return 0 if result else 1, {"sides": sorted(sides), "closed_tour": result}, text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,7 +354,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, payload, text = args.handler(args)
+        if args.format == "json" and payload is not None:
+            text = json.dumps(payload, sort_keys=True, default=vars) + "\n"
+        # flushed inside the try, so a failed write exits 2 even when stdout is buffered
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return code
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -403,7 +370,17 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        import os
+
+        # run reported the failed write; drop what it left buffered, or the
+        # flush at exit retries it and the process exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

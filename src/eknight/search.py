@@ -80,6 +80,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .board import Board, Vertex, _bits, _integers, _reachable, _spread
 from .feasibility import closed_tour_necessary, color_counts, open_tour_necessary
@@ -431,8 +432,9 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
 
     With start=None, open searches try every (majority-color) start vertex
     and closed searches fix the lexicographically smallest vertex; an
-    explicit start restricts open searches to tours from that vertex.  Every
-    found tour is re-verified before being returned.
+    explicit start restricts open searches to tours from that vertex and
+    fixes it as a closed search's start vertex.  Every found tour is
+    re-verified before being returned.
     """
     config = config or SearchConfig()
     if not isinstance(config.target, TourKind):
@@ -525,7 +527,8 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     the count of still-reachable vertices refined by color alternation, so
     pruned branches provably cannot beat the incumbent.  Greedy seed walks
     raise the pruning floor first and are not counted against the budget;
-    they stop at the first walk that meets the colour-alternation cap.
+    they start from at most node_budget cells and stop at the first walk
+    that meets the colour-alternation cap.
     With a binding budget the best path found so far is returned with status
     budget_exceeded.
     """
@@ -541,7 +544,8 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     dark = dark_mask.bit_count()
     cap = min(n, 2 * min(dark, n - dark) + 1)
     best: list[int] = []
-    for s in _bits(full):
+    # islice(..., None) walks from every start
+    for s in islice(_bits(full), node_budget):
         walk = _greedy_walk(masks, full, s)
         if len(walk) > len(best):
             best = walk

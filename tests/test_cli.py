@@ -1,9 +1,16 @@
 import dataclasses
+import errno
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from eknight import corpus
 from eknight.board import Board
 from eknight.cli import run
+from eknight.construct import closed_tour_on_hypercube
 from eknight.tour import TourKind, parse_tour, serialize_tour
 
 
@@ -334,3 +341,101 @@ def test_hole_requires_sides(capsys):
         capsys, "analyze", "--board", "/nonexistent", "--hole", "1,1"
     )
     assert code == 2
+
+
+def test_both_output_forms_agree(capsys, tmp_path):
+    cycle = write_tour(tmp_path, "cycle.tour", corpus.raw_text(corpus.PC_3_2_HOLE))
+    # the all-ones cell moved next to the all-zeros one gives taxicab lengths
+    # of 10, whose JSON keys sort as strings: "10" before "5"
+    tour = closed_tour_on_hypercube(10)
+    vertices = list(tour.vertices)
+    far = vertices.index((1,) * 10)
+    vertices[1], vertices[far] = vertices[far], vertices[1]
+    damaged = write_tour(
+        tmp_path, "damaged.tour", serialize_tour(tour.board, tour.kind, vertices)
+    )
+    cases = [
+        (0, "analyze", "--sides", "3,3,3,3,3"),
+        (1, "analyze", "--sides", "3,3,3,3"),
+        (0, "search", "--sides", "3,3", "--hole", "1,1", "--target", "closed"),
+        (1, "search", "--sides", "3,3,3,3", "--target", "open"),
+        (0, "longest", "--sides", "3,3,3", "--hole", "1,1,1"),
+        (0, "verify", cycle),
+        (1, "verify", damaged),
+        (1, "verify", "--all-violations", damaged),
+        (0, "construct", "--k", "7"),
+        (0, "construct", "--k", "7", "--verify-only"),
+        (0, "distance", "--sides", "2,2,2,2,2,2", "--from", "0,0,0,0,0,0",
+         "--to", "1,1,1,1,1,0"),
+        (1, "distance", "--sides", "2,2,2,2,2", "--from", "0,0,0,0,0", "--to", "0,0,0,0,1"),
+        (0, "corpus", "list"),
+        (0, "corpus", "show", "PC_2_6"),
+        (0, "corpus", "check-all"),
+        (0, "export-dot", "--sides", "3,3", "--hole", "1,1"),
+        (0, "export-dot", "--tour", cycle),
+        (0, "classical", "--sides", "2,3,4"),
+        (1, "classical", "--sides", "2,2,2,2,2,2"),
+    ]
+    for expected, *argv in cases:
+        text_code, text_out, text_err = invoke(capsys, *argv)
+        code, out, err = invoke(capsys, "--format", "json", *argv)
+        assert (code, err) == (text_code, text_err) and code == expected, argv
+        if argv[:2] == ["corpus", "show"] or argv[0] == "export-dot":
+            assert out == text_out, argv
+            continue
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        payload = json.loads(out)
+        assert isinstance(payload, dict), argv
+        if argv[0] in ("search", "longest") or argv == ["construct", "--k", "7"]:
+            # an exhausted search prints no tour file and gives "tour": null
+            assert payload["tour"] == (text_out or None), argv
+        if argv[0] == "verify" and argv[-1] == damaged:
+            counts = list(payload["move_taxicab_counts"])
+            assert "10" in counts and counts == sorted(counts), argv
+
+
+class _Unwritable:
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+def test_a_failed_stdout_write_exits_2(capsys, monkeypatch):
+    errors = (
+        OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+        BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+    )
+    for error in errors:
+        for argv in (
+            ["classical", "--sides", "2,3,4"],
+            ["--format", "json", "classical", "--sides", "2,3,4"],
+            ["construct", "--k", "7"],
+            ["--format", "json", "construct", "--k", "7"],
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", _Unwritable(error))
+                code = run(argv)
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err == f"error: {error}\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_buffered_write_to_a_full_device_exits_2():
+    # with stdout buffered, the output fails only when it is flushed; the
+    # bytes left buffered must not fail a second time as the process exits
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (["classical", "--sides", "2,3,4"], ["construct", "--k", "12"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "eknight.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        ), argv

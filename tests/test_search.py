@@ -125,6 +125,24 @@ def test_greedy_seeding_stops_at_the_colour_cap(monkeypatch):
     )
 
 
+def test_greedy_seeding_walks_from_at_most_the_budget(monkeypatch):
+    # no walk on 2x2x2x100 reaches its colour cap of 800, so without a bound
+    # every one of the 800 starts would be walked
+    walk = eknight.search._greedy_walk
+    walks = []
+
+    def counted(masks, full, start):
+        walks.append(start)
+        return walk(masks, full, start)
+
+    monkeypatch.setattr(eknight.search, "_greedy_walk", counted)
+    outcome = longest_path(Board([2, 2, 2, 100]), node_budget=10)
+    assert len(walks) == 10
+    assert (outcome.status, outcome.nodes_expanded, outcome.max_depth_reached) == (
+        SearchStatus.BUDGET_EXCEEDED, 11, 200
+    )
+
+
 def test_budget_semantics():
     outcome = find_tour(
         Board([2] * 6),

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .board import Board, format_sides, format_vertex, parse_board_text, parse_vertex
+from .board import Board, _parse_ints, format_sides, format_vertex, parse_board_text, parse_vertex
 from .construct import _hypercube_tour, closed_tour_on_hypercube
 from .feasibility import (
     FeasibilityVerdict,
@@ -62,7 +62,8 @@ def _board_from_args(args: argparse.Namespace) -> Board | None:
     if args.hole and args.sides is None:
         raise ValueError("--hole only combines with --sides")
     if args.sides is not None:
-        return Board(parse_vertex(args.sides), [parse_vertex(h) for h in args.hole])
+        sides = _parse_ints(args.sides, ",", "side list")
+        return Board(sides, [parse_vertex(h) for h in args.hole])
     if args.board is not None:
         return parse_board_text(Path(args.board).read_text(encoding="utf-8"))
     return None
@@ -272,7 +273,7 @@ def _tour_dot(tour: Tour) -> str:
 
 
 def _cmd_classical(args: argparse.Namespace) -> _Output:
-    sides = parse_vertex(args.sides)
+    sides = _parse_ints(args.sides, ",", "side list")
     result = classical_closed_tour_condition(sides)
     text = f"classical closed tour: {'yes' if result else 'no'}\n"
     return 0 if result else 1, {"sides": sorted(sides), "closed_tour": result}, text

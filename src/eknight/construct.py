@@ -14,6 +14,16 @@ admit the five-axis unit move, which needs k >= 5, and on the 5-cube every
 cell has exactly one target (its antipode minus nothing to spare), leaving a
 perfect matching instead of a connected graph.
 
+The base tour is itself a formula.  Read each vertex as a 6-bit word, first
+coordinate highest: entry t is the reflected Gray code t ^ t >> 1,
+complemented (XOR 63) at every odd t.  On {0,1}^k a knight move flips
+exactly five coordinates, which is a complement followed by one flip back,
+so complementing every other word turns the Gray code's one-bit steps into
+(k - 1)-bit steps, of squared length 5 only at k = 6.  For even k the
+complement keeps each word's parity, so every cell is still visited once.
+At k = 5, 7 and 8 the same formula fails verification, with links of
+squared length 4, 6 and 7: the threshold k >= 6 seen from the base.
+
 The step works on the tour packed as byte columns, one per axis, each
 holding every vertex's 0/1 coordinate on that axis in tour order: a column's
 mirrored half is the column reversed, translated 0 <-> 1 on the flipped

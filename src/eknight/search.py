@@ -15,8 +15,9 @@ first branch has exhausted.  Each branch yields (status, path, nodes, depth),
 and `find_tour` folds those results in one loop that stops at the first
 branch that does not exhaust.  A budgeted run is always sequential, so one
 node budget is spent across its branches in order and a pool never carries
-one.  Every tour and longest path leaves through `tour._checked`, the
-verifier.
+one; a spent budget is a status that `_dfs` returns, not an exception.
+Every outcome, tour, proof or longest path, leaves through `_outcome`, which
+re-verifies its tour with `tour._checked`.
 
 Pruning only cuts branches that provably cannot finish, and each cut has a
 witness a checker can test on its own:
@@ -62,8 +63,8 @@ vertices forward, and counts forced neighbours only next to newly forced
 vertices.  No degree is recounted: a branch keeps each cell's count of
 neighbours among the unvisited cells and the head.  A node that passes its
 checks lists the head's unvisited neighbours, lowers their counts and pushes
-the list; its children scan that list, and after the last child the node's
-expansion pops it and raises the counts again.  The same counts order the
+the list; its children scan that list, and after the last child its undo,
+`_restoring`, pops it and raises the counts.  The same counts order the
 successors by Warnsdorff's rule, fewest onward moves first.  The scan of p's
 neighbours also finds the ones h reaches in two steps; a breadth-first
 search runs only for the others.  The verdicts equal those of a full rescan,
@@ -130,10 +131,6 @@ class SearchOutcome:
     max_depth_reached: int
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class _Counters:
     __slots__ = ("nodes", "max_depth", "budget")
 
@@ -142,12 +139,11 @@ class _Counters:
         self.max_depth = 0
         self.budget = budget
 
-    def spend(self, depth: int) -> None:
+    def spend(self, depth: int) -> bool:
         self.nodes += 1
         if depth > self.max_depth:
             self.max_depth = depth
-        if self.budget is not None and self.nodes > self.budget:
-            raise _BudgetExceeded
+        return self.budget is None or self.nodes <= self.budget
 
 
 def _check_budget(node_budget: int | None) -> None:
@@ -272,21 +268,23 @@ def _dfs(
     expand: Callable[[int, int], Iterable[int]],
     accept: Callable[[list[int]], bool],
     counters: _Counters,
-) -> list[int] | None:
+) -> tuple[SearchStatus, list[int] | None]:
     """Depth-first walk of the simple paths from start; the one search loop.
 
     expand(head, visited) gives the successors to try in order (none cuts
     the branch) and is called for every node, the root included; accept(path)
-    runs after every push, and True stops the walk with that path.  Every
-    push is charged to counters.  A generator expansion runs on after its
-    last successor only when the walk below it exhausts; a found path or a
-    spent budget leaves it suspended.
+    runs after every push, each charged to counters.  Returns (FOUND, path)
+    once accept is True, or (BUDGET_EXCEEDED, None) at the push that exceeds
+    the budget: a spent budget is a status, not an exception.  Otherwise
+    (EXHAUSTED_NONE, None).  An expansion's iterator runs on after its last
+    successor only when the walk below it exhausts.
     """
     path = [start]
     visited = 1 << start
-    counters.spend(1)
+    if not counters.spend(1):
+        return SearchStatus.BUDGET_EXCEEDED, None
     if accept(path):
-        return path
+        return SearchStatus.FOUND, path
     stack = [iter(expand(start, visited))]
     while stack:
         nxt = next(stack[-1], None)
@@ -296,11 +294,22 @@ def _dfs(
             continue
         visited |= 1 << nxt
         path.append(nxt)
-        counters.spend(len(path))
+        if not counters.spend(len(path)):
+            return SearchStatus.BUDGET_EXCEEDED, None
         if accept(path):
-            return path
+            return SearchStatus.FOUND, path
         stack.append(iter(expand(nxt, visited)))
-    return None
+    return SearchStatus.EXHAUSTED_NONE, None
+
+
+def _restoring(
+    order: Iterable[int], cells: list[int], onward: list[int], levels: list
+) -> Iterator[int]:
+    """Yield order, then undo a node's expansion: pop its level, raise its cells' counts."""
+    yield from order
+    levels.pop()
+    for u in cells:
+        onward[u] += 1
 
 
 def _search_branch(
@@ -328,19 +337,17 @@ def _search_branch(
     # and an entry's neighbours keep their counts lowered while it stands
     levels: list[tuple[int, list[int]]] = [(0, every)]
 
-    def expand(head: int, visited: int) -> Iterator[int]:
+    def expand(head: int, visited: int) -> Iterable[int]:
         nonlocal ends
         depth = len(levels)
         if closed and depth == 2:
             ends = (start, head)
         state = _prunable(masks, full, dark_mask, visited, head, ends, onward, beside, levels[-1])
         if state is None:
-            return
+            return ()
         tight, lone = state
         # below this node the head is visited, so its neighbours lose it
         cells = list(_bits(masks[head] & ~visited))
-        # a found path holds this frame once per cell: drop the masks it no longer needs
-        del visited, state
         for u in cells:
             onward[u] -= 1
         if closed and depth == 1:
@@ -348,18 +355,14 @@ def _search_branch(
                 beside[u] = 1
         levels.append((tight, cells))
         if lone:
-            yield lone.bit_length() - 1
-        else:
-            # reordering cells in place leaves the children's scan verdicts as they are
-            if rng is not None:
-                rng.shuffle(cells)
-            if use_warnsdorff:
-                # fewest onward moves first (Warnsdorff's rule), ties in order
-                cells.sort(key=onward.__getitem__)
-            yield from cells
-        levels.pop()
-        for u in cells:
-            onward[u] += 1
+            return _restoring((lone.bit_length() - 1,), cells, onward, levels)
+        # reordering cells in place leaves the children's scan verdicts as they are
+        if rng is not None:
+            rng.shuffle(cells)
+        if use_warnsdorff:
+            # fewest onward moves first (Warnsdorff's rule), ties in order
+            cells.sort(key=onward.__getitem__)
+        return _restoring(cells, cells, onward, levels)
 
     def accept(path: list[int]) -> bool:
         if len(path) < n:
@@ -368,13 +371,7 @@ def _search_branch(
         return not closed or bool(masks[path[-1]] >> start & 1) and path[1] < path[-1]
 
     spent = counters.nodes
-    try:
-        path = _dfs(start, expand, accept, counters)
-    except _BudgetExceeded:
-        status, path = SearchStatus.BUDGET_EXCEEDED, None
-    else:
-        status = SearchStatus.EXHAUSTED_NONE if path is None else SearchStatus.FOUND
-    return status, path, counters.nodes - spent, counters.max_depth
+    return (*_dfs(start, expand, accept, counters), counters.nodes - spent, counters.max_depth)
 
 
 # The settings of a pooled search, set once per worker process by
@@ -427,6 +424,15 @@ def _workers_can_start() -> bool:
     return path is None or os.path.isfile(path) or bool(name)
 
 
+def _outcome(
+    board: Board, kind: TourKind, status: SearchStatus, path: list[int] | None,
+    nodes: int, depth: int,
+) -> SearchOutcome:
+    """The one exit of every search: its index path, if any, becomes a verified tour."""
+    tour = None if path is None else _checked(Tour(board, kind, tuple(map(board.vertex_at, path))))
+    return SearchOutcome(status, tour, nodes, depth)
+
+
 def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome:
     """Search for an open or closed tour on the board.
 
@@ -452,7 +458,7 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     if config.use_feasibility_precheck:
         verdict = closed_tour_necessary(board) if closed else open_tour_necessary(board)
         if not verdict.feasible:
-            return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, 0, 0)
+            return _outcome(board, config.target, SearchStatus.EXHAUSTED_NONE, None, 0, 0)
 
     _, masks, full = board._index_graph()
     dark_mask = board._dark_mask()
@@ -495,10 +501,7 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
             if status is not SearchStatus.EXHAUSTED_NONE:
                 break
 
-    if path is None:
-        return SearchOutcome(status, None, nodes, max_depth)
-    tour = Tour(board, config.target, tuple(board.vertex_at(i) for i in path))
-    return SearchOutcome(SearchStatus.FOUND, _checked(tour), nodes, max_depth)
+    return _outcome(board, config.target, status, path, nodes, max_depth)
 
 
 def prove_nonexistence(
@@ -570,17 +573,14 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
         return len(best) == n
 
     counters = _Counters(node_budget)
-    status = SearchStatus.FOUND
-    if len(best) < n:
-        try:
-            for s in _bits(full):
-                if _dfs(s, expand, accept, counters) is not None:
-                    break
-        except _BudgetExceeded:
-            status = SearchStatus.BUDGET_EXCEEDED
-
-    tour = Tour(board, TourKind.PATH, tuple(board.vertex_at(i) for i in best))
-    return SearchOutcome(status, _checked(tour), counters.nodes, len(best))
+    for s in _bits(full) if len(best) < n else ():
+        status, _ = _dfs(s, expand, accept, counters)
+        if status is not SearchStatus.EXHAUSTED_NONE:
+            break
+    else:
+        # every start exhausted, or a seed walk covers the board: best is longest
+        status = SearchStatus.FOUND
+    return _outcome(board, TourKind.PATH, status, best, counters.nodes, len(best))
 
 
 def _greedy_walk(masks: list[int], full: int, start: int) -> list[int]:

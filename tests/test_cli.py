@@ -331,6 +331,12 @@ def test_classical_command(capsys):
     assert code == 1 and "no" in out
 
 
+def test_a_malformed_side_list_is_named_as_one(capsys):
+    for command in ("search", "classical"):
+        code, out, err = invoke(capsys, command, "--sides", "3,x")
+        assert (code, out, err) == (2, "", "error: malformed side list '3,x'\n"), command
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = invoke(capsys, "analyze", "--sides", "3,3", "--frobnicate")
     assert code == 2

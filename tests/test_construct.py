@@ -27,6 +27,27 @@ def _base():
     return corpus.get(corpus.PC_2_6).tour()
 
 
+def _complemented_gray_code(k):
+    """t ^ t >> 1 for t < 2^k, complemented at odd t, as vertices (first coordinate highest)."""
+    top = (1 << k) - 1
+    words = [t ^ t >> 1 ^ (top if t % 2 else 0) for t in range(1 << k)]
+    return tuple(tuple(w >> (k - 1 - axis) & 1 for axis in range(k)) for w in words)
+
+
+def test_the_six_cube_base_is_a_complemented_gray_code():
+    # a knight move on {0,1}^k flips five coordinates, so complementing every
+    # other Gray word gives links of k - 1 flips: knight moves only at k = 6.
+    # For even k the complement keeps each word's parity and no cell repeats
+    assert _complemented_gray_code(6) == corpus.get(corpus.PC_2_6).vertices
+    for k in (5, 6, 7, 8):
+        vertices = _complemented_gray_code(k)
+        links = zip(vertices, vertices[1:] + vertices[:1])
+        assert {sum(a != b for a, b in zip(u, v)) for u, v in links} == {k - 1}
+        assert (len(set(vertices)) == 1 << k) is (k % 2 == 0)
+        tour = Tour(Board([2] * k), TourKind.CLOSED, vertices)
+        assert tour.report().valid is (k == 6), k
+
+
 def test_extend_with_documented_mask():
     extended = extend_closed_tour(_base(), mask={1, 2, 3, 4})
     assert extended.board == Board([2] * 7)

@@ -1,7 +1,9 @@
 import collections
 import contextlib
 import dataclasses
+import gc
 import hashlib
+import inspect
 import multiprocessing
 import os
 import random
@@ -649,6 +651,31 @@ def test_each_expansion_restores_the_counts_it_lowers(monkeypatch):
         assert tables
         for masks, onward in tables.values():
             assert onward == [m.bit_count() for m in masks], board
+
+
+def test_a_suspended_expansion_holds_only_its_undo(monkeypatch):
+    # each node on the path keeps its expansion suspended until the walk
+    # comes back to it; 600 cells deep on 3^6, none of them may hold a mask
+    # of the board (an int as wide as its 729 cells), only what its undo needs
+    prunable = eknight.search._prunable
+    held = None
+
+    def snapshot(masks, full, dark_mask, visited, *rest):
+        nonlocal held
+        if held is None and visited.bit_count() == 600:
+            held = [
+                dict(g.gi_frame.f_locals) for g in gc.get_objects()
+                if inspect.isgenerator(g) and inspect.getgeneratorstate(g) == inspect.GEN_SUSPENDED
+                and g.gi_code.co_filename == eknight.search.__file__
+            ]
+        return prunable(masks, full, dark_mask, visited, *rest)
+
+    monkeypatch.setattr(eknight.search, "_prunable", snapshot)
+    outcome = find_tour(Board([3] * 6))
+    assert (outcome.status, outcome.nodes_expanded) == (SearchStatus.FOUND, 729)
+    assert len(held) >= 599
+    wide = [f for f in held if any(isinstance(v, int) and v.bit_length() > 64 for v in f.values())]
+    assert not wide, f"{len(wide)} of {len(held)} suspended expansions hold a wide int"
 
 
 def test_prune_scan_matches_the_breadth_first_reference(monkeypatch):

@@ -8,6 +8,8 @@ payload and print their tour-file or DOT text in both modes.  Found tours are
 tour files; the search summary goes to stderr.  Exit codes: 0 success / valid /
 feasible / found; 1 invalid tour, infeasible board, exhausted or budget-bound
 search, unreachable target; 2 usage or input errors and failed stdout writes.
+Only the board module loads with this one: each command imports the modules
+it runs at its start, so `distance` loads no other module of the package.
 """
 
 from __future__ import annotations
@@ -15,27 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from . import corpus
 from .board import Board, _parse_ints, format_sides, format_vertex, parse_board_text, parse_vertex
-from .construct import _hypercube_tour, closed_tour_on_hypercube
-from .feasibility import (
-    FeasibilityVerdict,
-    classical_closed_tour_condition,
-    closed_tour_necessary,
-    color_counts,
-    open_tour_necessary,
-)
-from .search import SearchConfig, SearchOutcome, SearchStatus, find_tour, longest_path
-from .tour import (
-    Tour,
-    TourKind,
-    VerificationReport,
-    classify_move,
-    parse_tour,
-    verify,
-)
+
+# annotations alone name these; each command imports the modules it runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .search import SearchOutcome
+    from .tour import Tour, TourKind, VerificationReport
 
 # exit code, JSON payload (None: the text in both modes), text-mode stdout;
 # a dataclass in the payload is written as the object of its fields
@@ -65,8 +54,13 @@ def _board_from_args(args: argparse.Namespace) -> Board | None:
         sides = _parse_ints(args.sides, ",", "side list")
         return Board(sides, [parse_vertex(h) for h in args.hole])
     if args.board is not None:
-        return parse_board_text(Path(args.board).read_text(encoding="utf-8"))
+        return parse_board_text(_read(args.board))
     return None
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _text(lines: list[str]) -> str:
@@ -75,6 +69,8 @@ def _text(lines: list[str]) -> str:
 
 def _report(kind: TourKind, report: VerificationReport) -> _Output:
     """A verification report; the exit code is 0 for a valid tour, else 1."""
+    from .tour import TourKind
+
     links = f"{report.link_count}+1" if kind is TourKind.CLOSED else str(report.link_count)
     lines = [
         f"kind: {kind.value}",
@@ -96,11 +92,17 @@ def _report(kind: TourKind, report: VerificationReport) -> _Output:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Output:
-    board, kind, vertices = parse_tour(Path(args.file).read_text(encoding="utf-8"))
+    from .tour import parse_tour, verify
+
+    board, kind, vertices = parse_tour(_read(args.file))
     return _report(kind, verify(board, vertices, kind, all_violations=args.all_violations))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> _Output:
+    from .feasibility import (
+        FeasibilityVerdict, closed_tour_necessary, color_counts, open_tour_necessary,
+    )
+
     board = _board_from_args(args)
     dark, light = color_counts(board)
     connected = board.is_connected() if board.vertex_count else False
@@ -137,6 +139,8 @@ def _cmd_analyze(args: argparse.Namespace) -> _Output:
 
 def _outcome(outcome: SearchOutcome, depth_label: str) -> _Output:
     """A search outcome: summary on stderr now, the tour file as the text."""
+    from .search import SearchStatus
+
     print(
         f"status: {outcome.status.value}  nodes: {outcome.nodes_expanded}  {depth_label}",
         file=sys.stderr,
@@ -152,6 +156,9 @@ def _outcome(outcome: SearchOutcome, depth_label: str) -> _Output:
 
 
 def _cmd_search(args: argparse.Namespace) -> _Output:
+    from .search import SearchConfig, find_tour
+    from .tour import TourKind
+
     board = _board_from_args(args)
     config = SearchConfig(
         target=TourKind(args.target),
@@ -166,12 +173,16 @@ def _cmd_search(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_longest(args: argparse.Namespace) -> _Output:
+    from .search import longest_path
+
     board = _board_from_args(args)
     outcome = longest_path(board, node_budget=args.budget)
     return _outcome(outcome, f"best: {outcome.max_depth_reached} vertices")
 
 
 def _cmd_construct(args: argparse.Namespace) -> _Output:
+    from .construct import _hypercube_tour, closed_tour_on_hypercube
+
     masks = [parse_vertex(m) for m in args.mask] or None
     if args.verify_only:
         # this report is the one verification: closed_tour_on_hypercube
@@ -194,6 +205,8 @@ def _cmd_distance(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> _Output:
+    from . import corpus
+
     if args.corpus_command == "list":
         entries = [corpus.get(i) for i in corpus.ids()]
         payload = {
@@ -228,21 +241,18 @@ def _cmd_corpus(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> _Output:
+    from .tour import Tour, parse_tour
+
     board = _board_from_args(args)
     if board is None:
-        board, kind, vertices = parse_tour(Path(args.tour).read_text(encoding="utf-8"))
+        board, kind, vertices = parse_tour(_read(args.tour))
         return 0, None, _tour_dot(Tour(board, kind, tuple(vertices)))
     return 0, None, _board_dot(board)
 
 
-def _edge_label(a, b) -> str:
-    try:
-        return classify_move(a, b).value
-    except ValueError:
-        return "illegal"
-
-
 def _board_dot(board: Board) -> str:
+    from .tour import classify_move
+
     lines = ["graph {"]
     for v in board.vertices():
         lines.append(f'  "{format_vertex(v)}";')
@@ -251,28 +261,33 @@ def _board_dot(board: Board) -> str:
             if v < w:
                 lines.append(
                     f'  "{format_vertex(v)}" -- "{format_vertex(w)}" '
-                    f'[label="{_edge_label(v, w)}"];'
+                    f'[label="{classify_move(v, w).value}"];'
                 )
     lines.append("}")
     return _text(lines)
 
 
 def _tour_dot(tour: Tour) -> str:
+    from .tour import TourKind, classify_move
+
     lines = ["digraph {"]
     sequence = list(tour.vertices)
     if tour.kind is TourKind.CLOSED:
         sequence.append(tour.vertices[0])
     for i in range(len(sequence) - 1):
         a, b = sequence[i], sequence[i + 1]
-        lines.append(
-            f'  "{format_vertex(a)}" -> "{format_vertex(b)}" '
-            f'[label="{i + 1} {_edge_label(a, b)}"];'
-        )
+        try:
+            label = classify_move(a, b).value
+        except ValueError:
+            label = "illegal"
+        lines.append(f'  "{format_vertex(a)}" -> "{format_vertex(b)}" [label="{i + 1} {label}"];')
     lines.append("}")
     return _text(lines)
 
 
 def _cmd_classical(args: argparse.Namespace) -> _Output:
+    from .feasibility import classical_closed_tour_condition
+
     sides = _parse_ints(args.sides, ",", "side list")
     result = classical_closed_tour_condition(sides)
     text = f"classical closed tour: {'yes' if result else 'no'}\n"

@@ -74,7 +74,6 @@ which the root makes: its parent's list holds every cell.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import random
 import sys
@@ -398,6 +397,8 @@ def _pooled(run: tuple, deterministic: bool, workers: int, starts) -> Iterator[t
     the sequential one; otherwise results come as branches finish.  Closing
     the generator terminates the workers still grinding on later branches.
     """
+    import multiprocessing
+
     pool = multiprocessing.get_context(None).Pool(
         processes=workers, initializer=_init_worker, initargs=(run, deterministic)
     )
@@ -416,6 +417,8 @@ def _workers_can_start() -> bool:
     module name or else from its file; a script read from stdin (`python -`)
     has neither, so every worker dies at start-up and the pool replaces it.
     """
+    import multiprocessing
+
     if multiprocessing.get_start_method() == "fork":
         return True
     main = sys.modules["__main__"]

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import eknight
 from eknight import corpus
 from eknight.board import Board
 from eknight.cli import run
@@ -445,3 +446,95 @@ def test_a_buffered_write_to_a_full_device_exits_2():
         assert (proc.returncode, proc.stderr) == (
             2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         ), argv
+
+
+def _standard_library_python(code, *args):
+    """Run `code` in a fresh `python -S`, with this package alone on the path."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(eknight.__file__))}
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+
+
+# the last two lines of stderr: the watched modules loaded by `import
+# eknight.cli`, then those loaded once the command has run
+_LOADED_BY_A_COMMAND = """
+import sys
+import eknight.cli
+
+def loaded():
+    watched = ("dataclasses", "multiprocessing")
+    return " ".join(sorted(m for m in sys.modules if m.startswith("eknight") or m in watched))
+
+at_import = loaded()
+code = eknight.cli.run(sys.argv[1:])
+print(at_import, loaded(), sep="\\n", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    cycle = write_tour(tmp_path, "cycle.tour", corpus.raw_text(corpus.PC_3_2_HOLE))
+    search = {"search", "feasibility", "tour"}
+    construct = {"construct", "corpus", "tour"}
+    # the README's commands, each with the modules it needs beyond the board
+    cases = [
+        (["analyze", "--sides", "3,3,3,3,3"], {"feasibility"}),
+        (["search", "--sides", "3,3", "--hole", "1,1", "--target", "closed"], search),
+        (["verify", cycle], {"tour"}),
+        (["longest", "--sides", "3,3,3", "--hole", "1,1,1"], search),
+        (["construct", "--k", "10"], construct),
+        (["construct", "--k", "10", "--verify-only"], construct),
+        (["distance", "--sides", "2,2,2,2,2,2", "--from", "0,0,0,0,0,0",
+          "--to", "1,1,1,1,1,0"], set()),
+        (["corpus", "list"], {"corpus", "tour"}),
+        (["corpus", "show", "PC_2_6"], {"corpus", "tour"}),
+        (["corpus", "check-all"], {"corpus", "tour"}),
+        (["export-dot", "--sides", "3,3", "--hole", "1,1"], {"tour"}),
+        (["export-dot", "--tour", cycle], {"tour"}),
+        (["classical", "--sides", "2,3,4"], {"feasibility"}),
+    ]
+    start = {"eknight", "eknight.board", "eknight.cli"}
+    for argv, needed in cases:
+        err = _standard_library_python(_LOADED_BY_A_COMMAND, *argv).stderr
+        at_import, after_run = (set(line.split()) for line in err.splitlines()[-2:])
+        assert at_import == start, argv
+        # multiprocessing stays out too: no command of the README starts a pool
+        expected = start | {f"eknight.{name}" for name in needed}
+        assert after_run - {"dataclasses"} == expected, argv
+        if argv[0] == "distance":
+            assert "dataclasses" not in after_run, argv
+
+
+def test_package_names_resolve_lazily():
+    code = "import sys, eknight; print(*sorted(m for m in sys.modules if m.startswith('eknight')))"
+    assert _standard_library_python(code).stdout.split() == ["eknight"]
+
+    defined_in = {
+        "board": "Board KNIGHT_SQUARED_LENGTH Vertex is_knight_move parse_board_text "
+                 "serialize_board_text squared_distance taxicab_distance",
+        "feasibility": "Color ColorCounts FeasibilityVerdict classical_closed_tour_condition "
+                       "closed_tour_necessary color color_counts move_decompositions "
+                       "open_tour_necessary",
+        "search": "SearchConfig SearchOutcome SearchStatus find_tour longest_path "
+                  "prove_nonexistence",
+        "tour": "MoveKind Tour TourKind TourParseError VerificationReport Violation "
+                "classify_move parse_tour serialize_tour verify",
+        "construct": "DEFAULT_FLIP_MASK closed_tour_on_hypercube extend_closed_tour",
+    }
+    sources = {name: f"eknight.{module}" for module, names in defined_in.items()
+               for name in names.split()}
+    assert set(eknight.__all__) == {*sources, "corpus", "__version__"}
+    for name, module in sources.items():
+        assert getattr(eknight, name) is getattr(sys.modules[module], name), name
+        assert name in vars(eknight), name
+    assert eknight.corpus is sys.modules["eknight.corpus"]
+    star = {}
+    exec("from eknight import *", star)
+    del star["__builtins__"]
+    assert star.keys() == set(eknight.__all__)
+    assert all(value is getattr(eknight, name) for name, value in star.items())
+    assert set(eknight.__all__) <= set(dir(eknight))
+    with pytest.raises(AttributeError, match=r"^module 'eknight' has no attribute 'x'$"):
+        eknight.x

@@ -311,7 +311,7 @@ def test_no_pool_when_the_first_branch_finds_a_tour(monkeypatch):
         (Board([3] * 5), TourKind.OPEN),
     ]
     expected = [find_tour(board, SearchConfig(target=target)) for board, target in cases]
-    monkeypatch.setattr(eknight.search.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     for (board, target), seq in zip(cases, expected):
         par = find_tour(board, SearchConfig(target=target, parallel_width=2))
         assert par.status is SearchStatus.FOUND
@@ -366,7 +366,7 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
             sizes.append(processes)
             raise RuntimeError("no pool in this test")
 
-    monkeypatch.setattr(eknight.search.multiprocessing, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: RecordingContext())
     cpus = os.cpu_count() or 1
     # sixteen open start branches, fifteen after the in-process first; one
@@ -381,7 +381,7 @@ def test_parallel_search_under_spawn(monkeypatch):
     # spawn is the only start method on some platforms; its workers get the
     # run settings pickled through the pool initializer
     real = multiprocessing.get_context
-    monkeypatch.setattr(eknight.search.multiprocessing, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: real(method or "spawn"))
     board = POOLED_BOARDS[0]
     seq = find_tour(board)

@@ -166,7 +166,6 @@ def _cmd_search(args: argparse.Namespace) -> _Output:
         use_warnsdorff=not args.no_warnsdorff,
         node_budget=args.budget,
         deterministic=not args.non_deterministic,
-        parallel_width=args.parallel,
     )
     outcome = find_tour(board, config)
     return _outcome(outcome, f"max depth: {outcome.max_depth_reached}")
@@ -319,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-warnsdorff", action="store_true")
     p.add_argument("--budget", type=int, help="node expansion budget")
     p.add_argument("--non-deterministic", action="store_true")
-    p.add_argument("--parallel", type=int, default=0, metavar="N")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("longest", help="exact maximum-length path")

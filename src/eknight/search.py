@@ -8,16 +8,12 @@ search and the exact longest path differ only in the two callbacks they hand
 it: which successors to try below a head, and what a new path means.
 
 Tour search splits its work into root branches, one per start vertex: a
-closed search, and an open search from a given start, has one.  The first
-branch always runs in-process; the branches after it run on a worker pool in
-a parallel run and in-process otherwise, so a pool starts only once the
-first branch has exhausted.  Each branch yields (status, path, nodes, depth),
-and `find_tour` folds those results in one loop that stops at the first
-branch that does not exhaust.  A budgeted run is always sequential, so one
-node budget is spent across its branches in order and a pool never carries
-one; a spent budget is a status that `_dfs` returns, not an exception.
-Every outcome, tour, proof or longest path, leaves through `_outcome`, which
-re-verifies its tour with `tour._checked`.
+closed search, and an open search from a given start, has one.  `find_tour`
+runs them in order in one loop, as `longest_path` runs its starts, and stops
+at the first branch that does not exhaust.  One node budget is spent across
+the branches, and a spent budget is a status that `_dfs` returns, not an
+exception.  Every outcome, tour, proof or longest path, leaves through
+`_outcome`, which re-verifies its tour with `tour._checked`.
 
 Pruning only cuts branches that provably cannot finish, and each cut has a
 witness a checker can test on its own:
@@ -60,23 +56,21 @@ from head p to head h takes only p out of the graph, so a node whose parent
 passed its checks re-examines only p's unvisited neighbours (their degrees,
 and whether h still reaches them all), carries the parent's weak or forced
 vertices forward, and counts forced neighbours only next to newly forced
-vertices.  No degree is recounted: a branch keeps each cell's count of
+vertices.  No degree is recounted: a search keeps each cell's count of
 neighbours among the unvisited cells and the head.  A node that passes its
 checks lists the head's unvisited neighbours, lowers their counts and pushes
 the list; its children scan that list, and after the last child its undo,
-`_restoring`, pops it and raises the counts.  The same counts order the
-successors by Warnsdorff's rule, fewest onward moves first.  The scan of p's
-neighbours also finds the ones h reaches in two steps; a breadth-first
-search runs only for the others.  The verdicts equal those of a full rescan,
-which the root makes: its parent's list holds every cell.
+`_restoring`, pops it and raises the counts.  So a branch that exhausts
+leaves the counts at the full degrees for the next one.  The same counts
+order the successors by Warnsdorff's rule, fewest onward moves first.  The
+scan of p's neighbours also finds the ones h reaches in two steps; a
+breadth-first search runs only for the others.  The verdicts equal those of
+a full rescan, which the root makes: its parent's list holds every cell.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import random
-import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -98,19 +92,16 @@ class SearchConfig:
     """Solver parameters.
 
     With deterministic=True the found tour, the node count and the depth are
-    independent of parallel_width and identical across runs.
+    identical across runs.
     use_feasibility_precheck=False forces a full search even when the
     necessary-condition scan could short-circuit.
 
     node_budget and parallel_width must be integers, as sides must.
-    node_budget bounds path-push operations.  A budgeted run is always
-    sequential, whatever parallel_width says: one budget is spent across all
-    root branches, so a budget_exceeded outcome has expanded exactly
-    node_budget + 1 nodes.  parallel_width > 0 runs the first root branch of
-    an unbudgeted search in-process, in every mode, and only if it exhausts
-    the branches after it on at most one worker per CPU and per remaining
-    branch; they run in-process when that leaves one worker or workers could
-    not start (a script read from stdin under spawn or forkserver).
+    node_budget bounds path-push operations.  One budget is spent across all
+    root branches, in order, so a budget_exceeded outcome has expanded
+    exactly node_budget + 1 nodes.  parallel_width (>= 0) has no effect:
+    every search runs its root branches in-process, one after another.  It
+    stays only while the benchmark's jobs pass it, and goes once they stop.
     """
 
     target: TourKind = TourKind.OPEN
@@ -311,122 +302,6 @@ def _restoring(
         onward[u] += 1
 
 
-def _search_branch(
-    run: tuple,
-    rng: random.Random | None,
-    counters: _Counters,
-    start: int,
-) -> tuple[SearchStatus, list[int] | None, int, int]:
-    """One root branch as (status, path, nodes it spent, max depth so far).
-
-    run holds the constants of the search: (neighbour bitmasks, full mask,
-    dark mask, every cell in index order, closed, use_warnsdorff, each
-    cell's degree).
-    """
-    masks, full, dark_mask, every, closed, use_warnsdorff, degrees = run
-    n = len(every)
-    ends = (start, -1) if closed else None
-    # onward[u] counts u's neighbours among the unvisited cells and the head.
-    # A closed tour's start stays usable to the end: once the root passes,
-    # beside marks its neighbours
-    onward = list(degrees)
-    beside = bytearray(len(masks))
-    # (0, every cell) for the root's check, then (tight mask, unvisited
-    # neighbours) per expansion in progress: a check reads the last entry,
-    # and an entry's neighbours keep their counts lowered while it stands
-    levels: list[tuple[int, list[int]]] = [(0, every)]
-
-    def expand(head: int, visited: int) -> Iterable[int]:
-        nonlocal ends
-        depth = len(levels)
-        if closed and depth == 2:
-            ends = (start, head)
-        state = _prunable(masks, full, dark_mask, visited, head, ends, onward, beside, levels[-1])
-        if state is None:
-            return ()
-        tight, lone = state
-        # below this node the head is visited, so its neighbours lose it
-        cells = list(_bits(masks[head] & ~visited))
-        for u in cells:
-            onward[u] -= 1
-        if closed and depth == 1:
-            for u in cells:
-                beside[u] = 1
-        levels.append((tight, cells))
-        if lone:
-            return _restoring((lone.bit_length() - 1,), cells, onward, levels)
-        # reordering cells in place leaves the children's scan verdicts as they are
-        if rng is not None:
-            rng.shuffle(cells)
-        if use_warnsdorff:
-            # fewest onward moves first (Warnsdorff's rule), ties in order
-            cells.sort(key=onward.__getitem__)
-        return _restoring(cells, cells, onward, levels)
-
-    def accept(path: list[int]) -> bool:
-        if len(path) < n:
-            return False
-        # closing link plus direction rule: second < last
-        return not closed or bool(masks[path[-1]] >> start & 1) and path[1] < path[-1]
-
-    spent = counters.nodes
-    return (*_dfs(start, expand, accept, counters), counters.nodes - spent, counters.max_depth)
-
-
-# The settings of a pooled search, set once per worker process by
-# _init_worker: (run constants, deterministic).  Forked workers inherit them;
-# spawned workers receive them pickled once, through the initializer.
-_worker_run: tuple = ()
-
-
-def _init_worker(*settings) -> None:
-    global _worker_run
-    _worker_run = settings
-
-
-def _branch_worker(start: int) -> tuple:
-    run, deterministic = _worker_run
-    rng = None if deterministic else random.Random()
-    return _search_branch(run, rng, _Counters(None), start)
-
-
-def _pooled(run: tuple, deterministic: bool, workers: int, starts) -> Iterator[tuple]:
-    """Branch results from a pool of workers; a pooled run has no budget.
-
-    Deterministic mode yields results in branch order, so the first tour is
-    the sequential one; otherwise results come as branches finish.  Closing
-    the generator terminates the workers still grinding on later branches.
-    """
-    import multiprocessing
-
-    pool = multiprocessing.get_context(None).Pool(
-        processes=workers, initializer=_init_worker, initargs=(run, deterministic)
-    )
-    try:
-        results = pool.imap if deterministic else pool.imap_unordered
-        yield from results(_branch_worker, starts)
-    finally:
-        pool.terminate()
-        pool.join()
-
-
-def _workers_can_start() -> bool:
-    """False when pool workers would fail to start and be restarted forever.
-
-    Under spawn or forkserver a worker re-imports the main module, by its
-    module name or else from its file; a script read from stdin (`python -`)
-    has neither, so every worker dies at start-up and the pool replaces it.
-    """
-    import multiprocessing
-
-    if multiprocessing.get_start_method() == "fork":
-        return True
-    main = sys.modules["__main__"]
-    path = getattr(main, "__file__", None)
-    name = getattr(getattr(main, "__spec__", None), "name", None)
-    return path is None or os.path.isfile(path) or bool(name)
-
-
 def _outcome(
     board: Board, kind: TourKind, status: SearchStatus, path: list[int] | None,
     nodes: int, depth: int,
@@ -477,34 +352,63 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
             # any open tour must start and end on the majority color
             starts = list(_bits(dark_mask if dark > light else full & ~dark_mask))
 
-    parallel = config.parallel_width > 0 and config.node_budget is None
     rng = None if config.deterministic else random.Random()
-    degrees = [m.bit_count() for m in masks]
-    run = (masks, full, dark_mask, every, closed, config.use_warnsdorff, degrees)
+    n = len(every)
+    # a closed search is one root branch; once the path has a second vertex,
+    # ends is (start, second vertex)
+    ends = (starts[0], -1) if closed else None
+    # onward[u] counts u's neighbours among the unvisited cells and the head.
+    # A closed tour's start stays usable to the end: once the root passes,
+    # beside marks its neighbours
+    onward = [m.bit_count() for m in masks]
+    beside = bytearray(len(masks))
+    # (0, every cell) for the root's check, then (tight mask, unvisited
+    # neighbours) per expansion in progress: a check reads the last entry,
+    # and an entry's neighbours keep their counts lowered while it stands
+    levels: list[tuple[int, list[int]]] = [(0, every)]
 
-    def branch_results() -> Iterator[tuple]:
-        # the first branch runs in-process and often finds the tour alone, so
-        # a pool starts only once it exhausts, for the branches after it
-        counters = _Counters(config.node_budget)
-        yield _search_branch(run, rng, counters, starts[0])
-        later = starts[1:]
-        workers = min(config.parallel_width, len(later), os.cpu_count() or 1)
-        if parallel and workers > 1 and _workers_can_start():
-            yield from _pooled(run, config.deterministic, workers, later)
-        else:
-            for s in later:
-                yield _search_branch(run, rng, counters, s)
+    def expand(head: int, visited: int) -> Iterable[int]:
+        nonlocal ends
+        depth = len(levels)
+        if closed and depth == 2:
+            ends = (starts[0], head)
+        state = _prunable(masks, full, dark_mask, visited, head, ends, onward, beside, levels[-1])
+        if state is None:
+            return ()
+        tight, lone = state
+        # below this node the head is visited, so its neighbours lose it
+        cells = list(_bits(masks[head] & ~visited))
+        for u in cells:
+            onward[u] -= 1
+        if closed and depth == 1:
+            for u in cells:
+                beside[u] = 1
+        levels.append((tight, cells))
+        if lone:
+            return _restoring((lone.bit_length() - 1,), cells, onward, levels)
+        # reordering cells in place leaves the children's scan verdicts as they are
+        if rng is not None:
+            rng.shuffle(cells)
+        if config.use_warnsdorff:
+            # fewest onward moves first (Warnsdorff's rule), ties in order
+            cells.sort(key=onward.__getitem__)
+        return _restoring(cells, cells, onward, levels)
 
-    status, path = SearchStatus.EXHAUSTED_NONE, None
-    nodes = max_depth = 0
-    with contextlib.closing(branch_results()) as results:
-        for status, path, branch_nodes, branch_depth in results:
-            nodes += branch_nodes
-            max_depth = max(max_depth, branch_depth)
-            if status is not SearchStatus.EXHAUSTED_NONE:
-                break
+    def accept(path: list[int]) -> bool:
+        if len(path) < n:
+            return False
+        # closing link plus direction rule: second < last
+        return not closed or bool(masks[path[-1]] >> path[0] & 1) and path[1] < path[-1]
 
-    return _outcome(board, config.target, status, path, nodes, max_depth)
+    counters = _Counters(config.node_budget)
+    for s in starts:
+        status, path = _dfs(s, expand, accept, counters)
+        if status is not SearchStatus.EXHAUSTED_NONE:
+            break
+    # a found tour leaves every expansion on its path on levels: free them
+    # before the tour is verified
+    levels.clear()
+    return _outcome(board, config.target, status, path, counters.nodes, counters.max_depth)
 
 
 def prove_nonexistence(

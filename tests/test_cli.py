@@ -147,6 +147,14 @@ def test_search_rejects_bad_start(capsys):
     assert "removed cell" in err
 
 
+def test_search_has_no_parallel_option(capsys):
+    # every search runs in-process, so there is no worker count to give
+    code, out, err = invoke(capsys, "search", "--sides", "4,4", "--parallel", "2")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --parallel 2" in err
+
+
 def test_longest_command(capsys):
     code, out, err = invoke(capsys, "longest", "--sides", "3,3,3", "--hole", "1,1,1")
     assert code == 0
@@ -500,7 +508,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         err = _standard_library_python(_LOADED_BY_A_COMMAND, *argv).stderr
         at_import, after_run = (set(line.split()) for line in err.splitlines()[-2:])
         assert at_import == start, argv
-        # multiprocessing stays out too: no command of the README starts a pool
+        # multiprocessing stays out too: no command starts a process
         expected = start | {f"eknight.{name}" for name in needed}
         assert after_run - {"dataclasses"} == expected, argv
         if argv[0] == "distance":

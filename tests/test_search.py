@@ -1,10 +1,8 @@
 import collections
-import contextlib
 import dataclasses
 import gc
 import hashlib
 import inspect
-import multiprocessing
 import os
 import random
 import subprocess
@@ -267,75 +265,56 @@ def test_single_vertex_board():
     assert find_tour(board, dataclasses.replace(config, parallel_width=2)) == expected
 
 
-# open boards whose first root branch exhausts, so that a parallel search
-# starts a pool for the branches after it: on 4x5 less (0, 2) branches 0 and 1
-# exhaust and branch 2 finds a tour, on 3x4 less (0, 0) likewise, and on 4x4
-# every branch exhausts
-POOLED_BOARDS = [Board([4, 5], holes=[(0, 2)]), Board([3, 4], holes=[(0, 0)]), Board([4, 4])]
+# open boards whose first root branch exhausts, so that the branches after it
+# run too: on 4x5 less (0, 2) branches 0 and 1 exhaust and branch 2 finds a
+# tour, on 3x4 less (0, 0) likewise, and on 4x4 every branch exhausts
+LATE_BRANCH_BOARDS = [Board([4, 5], holes=[(0, 2)]), Board([3, 4], holes=[(0, 0)]), Board([4, 4])]
 
 
-def test_parallel_matches_sequential():
-    # open searches pool the start branches after the first; a closed search
-    # is one branch, so the closed cases must count their nodes once too
+def test_parallel_width_has_no_effect():
+    # every search runs its root branches in-process, one after another,
+    # whatever parallel_width says: the answer, node count and depth are the
+    # sequential ones, whether the first branch finds the tour or exhausts
     found, none = SearchStatus.FOUND, SearchStatus.EXHAUSTED_NONE
     open_, closed = TourKind.OPEN, TourKind.CLOSED
-    cases = [(board, open_) for board in POOLED_BOARDS + [Board([3, 3])]] + [
+    cases = [(board, open_) for board in LATE_BRANCH_BOARDS + [Board([3, 3])]] + [
         (Board([2, 3, 6]), closed),
         (Board([4, 9]), closed),
         (Board([3, 3, 3], holes=[(1, 1, 1)]), closed),
         (Board([1, 1]), closed),
+        (Board([3, 3], holes=[(1, 1)]), open_),
+        (Board([3, 3], holes=[(1, 1)]), closed),
+        (Board([5, 6]), closed),
+        (Board([3] * 5), open_),
     ]
-    statuses = [found, found, none, none, found, none, none, none]
+    statuses = [found, found, none, none, found, none, none, none, found, found, found, found]
     for (board, target), status in zip(cases, statuses, strict=True):
         config = SearchConfig(target=target, use_feasibility_precheck=False)
         seq = find_tour(board, config)
-        par = find_tour(board, dataclasses.replace(config, parallel_width=3))
         assert seq.status is status, board
-        assert (par.status, par.nodes_expanded, par.max_depth_reached) == (
-            seq.status, seq.nodes_expanded, seq.max_depth_reached
-        ), board
-        assert (par.tour and par.tour.vertices) == (seq.tour and seq.tour.vertices)
+        for width in (2, 3):
+            par = find_tour(board, dataclasses.replace(config, parallel_width=width))
+            assert (par.status, par.nodes_expanded, par.max_depth_reached) == (
+                seq.status, seq.nodes_expanded, seq.max_depth_reached
+            ), board
+            assert (par.tour and par.tour.vertices) == (seq.tour and seq.tour.vertices)
 
 
-def test_no_pool_when_the_first_branch_finds_a_tour(monkeypatch):
-    # a parallel search runs its first root branch in-process; when that
-    # branch finds the tour no worker starts, and the answer and node count
-    # are the sequential ones
-    def no_pool(method):
-        raise RuntimeError("a pool was started")
-
-    cases = [
-        (Board([3, 3], holes=[(1, 1)]), TourKind.OPEN),
-        (Board([3, 3], holes=[(1, 1)]), TourKind.CLOSED),
-        (Board([5, 6]), TourKind.CLOSED),
-        (Board([3] * 5), TourKind.OPEN),
-    ]
-    expected = [find_tour(board, SearchConfig(target=target)) for board, target in cases]
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    for (board, target), seq in zip(cases, expected):
-        par = find_tour(board, SearchConfig(target=target, parallel_width=2))
-        assert par.status is SearchStatus.FOUND
-        assert (par.tour.vertices, par.nodes_expanded) == (seq.tour.vertices, seq.nodes_expanded)
-    # a closed search is one root branch, run in-process, so even a proof
-    # starts no pool; the precheck would decide 4x7 before any search
-    config = SearchConfig(target=TourKind.CLOSED, parallel_width=2, deterministic=False,
-                          use_feasibility_precheck=False)
-    assert find_tour(Board([4, 7]), config).status is SearchStatus.EXHAUSTED_NONE
-
-
-def test_parallel_workers_receive_run_settings():
-    # the determinism flag reaches the workers once, through the pool
-    # initializer, not with each branch; a budgeted run never starts a pool.
-    # The precheck would refuse closed 4x8 at 0 nodes, so it is off here
-    config = SearchConfig(deterministic=False, parallel_width=2)
-    outcome = find_tour(POOLED_BOARDS[0], config)
-    assert outcome.status is SearchStatus.FOUND
-    assert outcome.tour.report().valid
-    config = SearchConfig(
-        target=TourKind.CLOSED, deterministic=False, parallel_width=2, node_budget=50,
-        use_feasibility_precheck=False,
+def test_a_parallel_width_starts_no_process():
+    # a search is one in-process loop over its root branches: on 4x4 every
+    # branch exhausts, and still nothing loads multiprocessing
+    code = (
+        "import sys\n"
+        "from eknight import Board, SearchConfig, find_tour\n"
+        "outcome = find_tour(Board([4, 4]), SearchConfig(parallel_width=2))\n"
+        "print(outcome.status.value, outcome.nodes_expanded, 'multiprocessing' in sys.modules)\n"
     )
-    assert find_tour(Board([4, 8]), config).status is SearchStatus.BUDGET_EXCEEDED
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(eknight.search.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "exhausted_none 1608 False\n"
 
 
 def test_budget_is_exact_in_every_mode():
@@ -358,64 +337,19 @@ def test_budget_is_exact_in_every_mode():
     assert outcome.nodes_expanded == 301
 
 
-def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
-    sizes = []
-
-    class RecordingContext:
-        def Pool(self, processes, **kwargs):
-            sizes.append(processes)
-            raise RuntimeError("no pool in this test")
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: RecordingContext())
-    cpus = os.cpu_count() or 1
-    # sixteen open start branches, fifteen after the in-process first; one
-    # CPU leaves fewer than two workers, so no pool
-    config = SearchConfig(parallel_width=cpus + 2)
-    with pytest.raises(RuntimeError) if cpus > 1 else contextlib.nullcontext():
-        find_tour(Board([4, 4]), config)
-    assert sizes == ([min(cpus, 15)] if cpus > 1 else [])
-
-
-def test_parallel_search_under_spawn(monkeypatch):
-    # spawn is the only start method on some platforms; its workers get the
-    # run settings pickled through the pool initializer
-    real = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: real(method or "spawn"))
-    board = POOLED_BOARDS[0]
-    seq = find_tour(board)
-    par = find_tour(board, SearchConfig(parallel_width=2))
-    assert seq.status is par.status is SearchStatus.FOUND
-    assert (par.tour.vertices, par.nodes_expanded) == (seq.tour.vertices, seq.nodes_expanded)
-
-
-def test_parallel_search_from_a_stdin_script_under_spawn():
-    # a spawned worker cannot re-import a main script read from stdin, so
-    # the branches after the first run in-process instead of a pool
-    # restarting workers forever
-    script = (
-        "import multiprocessing\n"
-        "from eknight import Board, SearchConfig, find_tour\n"
-        "multiprocessing.set_start_method('spawn', force=True)\n"
-        "config = SearchConfig(parallel_width=2)\n"
-        "print(find_tour(Board([4, 5], holes=[(0, 2)]), config).tour.vertices)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-"], input=script, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{find_tour(POOLED_BOARDS[0]).tour.vertices}\n"
-
-
 def test_non_deterministic_mode_still_verifies():
-    for board, target in (
-        (Board([3, 3], holes=[(1, 1)]), TourKind.CLOSED),
-        (Board([3] * 5), TourKind.OPEN),
+    # on 4x5 less (0, 2) the first root branches exhaust before one finds a
+    # tour; without the precheck closed 4x7 is a full proof
+    for board, target, status in (
+        (Board([3, 3], holes=[(1, 1)]), TourKind.CLOSED, SearchStatus.FOUND),
+        (Board([3] * 5), TourKind.OPEN, SearchStatus.FOUND),
+        (LATE_BRANCH_BOARDS[0], TourKind.OPEN, SearchStatus.FOUND),
+        (Board([4, 7]), TourKind.CLOSED, SearchStatus.EXHAUSTED_NONE),
     ):
-        outcome = find_tour(board, SearchConfig(target=target, deterministic=False))
-        assert outcome.status is SearchStatus.FOUND
-        assert outcome.tour.report().valid
+        config = SearchConfig(target=target, deterministic=False, use_feasibility_precheck=False)
+        outcome = find_tour(board, config)
+        assert outcome.status is status, board
+        assert outcome.tour is None or outcome.tour.report().valid
 
 
 def test_oracle_agreement_on_random_boards():
@@ -867,6 +801,28 @@ PINNED_SEARCHES = {
         lambda: find_tour(Board([3, 10]), SearchConfig(target=TourKind.CLOSED)),
         ("found", 41, 30, "3c8efbe1a36b0344"),
     ),
+    "closed 2x3x6": (
+        lambda: find_tour(Board([2, 3, 6]), SearchConfig(target=TourKind.CLOSED)),
+        ("found", 1407, 36, "1bf1f2586ce6db93"),
+    ),
+    "open 3^5": (
+        lambda: find_tour(Board([3] * 5)),
+        ("found", 243, 243, "e89e41fedbc4e475"),
+    ),
+    "open 4x5 less (0, 2)": (
+        # the first two start branches exhaust, the third finds the tour
+        lambda: find_tour(Board([4, 5], holes=[(0, 2)])),
+        ("found", 287, 19, "e6a7f392c7ea3ad7"),
+    ),
+    # every start branch exhausts: no open tour exists on 4x4 or 3x6
+    "open 4x4 proof": (
+        lambda: prove_nonexistence(Board([4, 4]), TourKind.OPEN),
+        ("exhausted_none", 1608, 12, None),
+    ),
+    "open 3x6 proof": (
+        lambda: prove_nonexistence(Board([3, 6]), TourKind.OPEN),
+        ("exhausted_none", 1146, 14, None),
+    ),
     # the precheck's outer-layer rule refuses every closed board of side 4
     # below, so the proofs run with the precheck off
     "closed 4x7 proof": (
@@ -952,4 +908,3 @@ def test_search_trees_are_pinned(name):
     tour = outcome.tour and hashlib.sha256(outcome.tour.serialized().encode()).hexdigest()[:16]
     got = (outcome.status.value, outcome.nodes_expanded, outcome.max_depth_reached, tour)
     assert got == expected
-    assert not multiprocessing.active_children()

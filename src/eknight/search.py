@@ -8,12 +8,20 @@ search and the exact longest path differ only in the two callbacks they hand
 it: which successors to try below a head, and what a new path means.
 
 Tour search splits its work into root branches, one per start vertex: a
-closed search, and an open search from a given start, has one.  `find_tour`
-runs them in order in one loop, as `longest_path` runs its starts, and stops
-at the first branch that does not exhaust.  One node budget is spent across
-the branches, and a spent budget is a status that `_dfs` returns, not an
-exception.  Every outcome, tour, proof or longest path, leaves through
-`_outcome`, which re-verifies its tour with `tour._checked`.
+closed search, and an open search from a given start, has one.
+`_tour_search` runs them in order in one loop, as `longest_path` runs its
+starts, and stops at the first branch that does not exhaust.  One node
+budget is spent across the branches, and a spent budget is a status that
+`_dfs` returns, not an exception.  Every outcome, tour, proof or longest
+path, leaves through `_outcome`, which re-verifies its tour with
+`tour._checked`.
+
+A path through every cell is an open tour.  So unless a seed walk already
+meets the colour cap, `longest_path` asks the open-tour search, whose cuts
+are far stronger than its own bound, for a path through every cell before
+its branch-and-bound sweep, on the same node budget.  A found tour is the
+answer; an exhausted search lowers the cap to n - 1, and the sweep stops at
+the first path that meets the cap.
 
 Pruning only cuts branches that provably cannot finish, and each cut has a
 witness a checker can test on its own:
@@ -331,12 +339,24 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     if board.vertex_count < 1:
         raise ValueError("board has no vertices")
     start = None if config.start is None else board.index(board._require_vertex(config.start))
+    counters = _Counters(config.node_budget)
+    status, path = _tour_search(board, config, start, counters)
+    return _outcome(board, config.target, status, path, counters.nodes, counters.max_depth)
 
+
+def _tour_search(
+    board: Board, config: SearchConfig, start: int | None, counters: _Counters
+) -> tuple[SearchStatus, list[int] | None]:
+    """The tour search of a validated config, from start (an index) or every start.
+
+    Charges its nodes to counters and returns (status, index path), the path
+    None unless the status is FOUND.
+    """
     closed = config.target is TourKind.CLOSED
     if config.use_feasibility_precheck:
         verdict = closed_tour_necessary(board) if closed else open_tour_necessary(board)
         if not verdict.feasible:
-            return _outcome(board, config.target, SearchStatus.EXHAUSTED_NONE, None, 0, 0)
+            return SearchStatus.EXHAUSTED_NONE, None
 
     _, masks, full = board._index_graph()
     dark_mask = board._dark_mask()
@@ -400,15 +420,11 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
         # closing link plus direction rule: second < last
         return not closed or bool(masks[path[-1]] >> path[0] & 1) and path[1] < path[-1]
 
-    counters = _Counters(config.node_budget)
     for s in starts:
         status, path = _dfs(s, expand, accept, counters)
         if status is not SearchStatus.EXHAUSTED_NONE:
             break
-    # a found tour leaves every expansion on its path on levels: free them
-    # before the tour is verified
-    levels.clear()
-    return _outcome(board, config.target, status, path, counters.nodes, counters.max_depth)
+    return status, path
 
 
 def prove_nonexistence(
@@ -433,13 +449,20 @@ def prove_nonexistence(
 def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     """Exact maximum-length legal path (distinct vertices, legal links).
 
-    Exhausts a branch-and-bound sweep over every start vertex; the bound is
-    the count of still-reachable vertices refined by color alternation, so
-    pruned branches provably cannot beat the incumbent.  Greedy seed walks
-    raise the pruning floor first and are not counted against the budget;
-    they start from at most node_budget cells and stop at the first walk
-    that meets the colour-alternation cap.
-    With a binding budget the best path found so far is returned with status
+    No path is longer than the cap: the vertex count, or one more than twice
+    the minority color's count, since every link switches color.  Greedy
+    seed walks set the first best path; they are not counted against the
+    budget, start from at most node_budget cells and stop at the first walk
+    that meets the cap.  If the cap is the vertex count and no walk meets
+    it, the open-tour search (precheck on) decides whether a path through
+    every vertex exists: a found tour is the answer, an exhausted search
+    lowers the cap by one.  Then, unless the best path meets the cap, a
+    branch-and-bound sweep over every start vertex runs until a path meets
+    the cap or every start exhausts; its bound is the count of
+    still-reachable vertices refined by color alternation, so pruned
+    branches provably cannot beat the incumbent.
+    One node budget covers the tour search and the sweep.  With a binding
+    budget the best path found so far is returned with status
     budget_exceeded.
     """
     _check_budget(node_budget)
@@ -477,16 +500,26 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
         if len(path) <= len(best):
             return False
         best[:] = path
-        return len(best) == n
+        return len(best) == cap
 
     counters = _Counters(node_budget)
-    for s in _bits(full) if len(best) < n else ():
-        status, _ = _dfs(s, expand, accept, counters)
-        if status is not SearchStatus.EXHAUSTED_NONE:
-            break
-    else:
-        # every start exhausted, or a seed walk covers the board: best is longest
-        status = SearchStatus.FOUND
+    status = SearchStatus.EXHAUSTED_NONE
+    if len(best) < cap == n:
+        # a path through every cell is an open tour, and the tour search's
+        # cuts find one, or prove there is none, in far fewer nodes
+        status, path = _tour_search(board, SearchConfig(), None, counters)
+        if status is SearchStatus.FOUND:
+            best = path
+        elif status is SearchStatus.EXHAUSTED_NONE:
+            cap = n - 1
+    if status is SearchStatus.EXHAUSTED_NONE:
+        for s in _bits(full) if len(best) < cap else ():
+            status, _ = _dfs(s, expand, accept, counters)
+            if status is not SearchStatus.EXHAUSTED_NONE:
+                break
+        else:
+            # every start exhausted, or a path meets the proven cap: best is longest
+            status = SearchStatus.FOUND
     return _outcome(board, TourKind.PATH, status, best, counters.nodes, len(best))
 
 

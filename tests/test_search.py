@@ -92,15 +92,15 @@ def test_longest_path_full_board_hits_vertex_count():
     assert outcome.max_depth_reached == 8
 
 
-def test_longest_path_stops_at_a_full_path_no_greedy_seed_found():
-    # every greedy seed walk falls short, so the sweep finds the full path
-    # itself and stops there instead of trying the later starts
+def test_the_tour_search_finds_a_full_path_no_greedy_seed_found():
+    # every greedy seed walk falls short, so the open-tour search finds the
+    # full path, and the branch-and-bound sweep (34,248 nodes) never runs
     board = Board([5, 6], holes=[(0, 1), (1, 0), (2, 0), (2, 1), (4, 4)])
     _, masks, full = board._index_graph()
     assert all(len(eknight.search._greedy_walk(masks, full, s)) < 25 for s in _bits(full))
     outcome = longest_path(board)
     assert (outcome.status, outcome.nodes_expanded, outcome.max_depth_reached) == (
-        SearchStatus.FOUND, 34248, 25
+        SearchStatus.FOUND, 115, 25
     )
     assert len(outcome.tour.vertices) == board.vertex_count == 25
 
@@ -108,7 +108,8 @@ def test_longest_path_stops_at_a_full_path_no_greedy_seed_found():
 def test_greedy_seeding_stops_at_the_colour_cap(monkeypatch):
     # two light cells less leave 3^5 with 2 * 119 + 1 = 239 as the longest
     # any path can be, since every link switches colour; the first seed walk
-    # reaches it, so the other 240 starts are not walked
+    # reaches it, so the other 240 starts are not walked, and the answer is
+    # exact without a search
     walk = eknight.search._greedy_walk
     walks = []
 
@@ -121,7 +122,7 @@ def test_greedy_seeding_stops_at_the_colour_cap(monkeypatch):
     outcome = longest_path(board, node_budget=10)
     assert len(walks) == 1
     assert (outcome.status, outcome.nodes_expanded, outcome.max_depth_reached) == (
-        SearchStatus.BUDGET_EXCEEDED, 11, 239
+        SearchStatus.FOUND, 0, 239
     )
 
 
@@ -187,8 +188,8 @@ def test_longest_path_rejects_nonpositive_budget():
 
 
 def test_longest_path_budget():
-    # greedy seeding tops out below 26 here, so the exact sweep must run
-    outcome = longest_path(Board([3, 3, 3], holes=[(1, 1, 1)]), node_budget=3)
+    # no seed walk covers 4x4, so the search must run
+    outcome = longest_path(Board([4, 4]), node_budget=3)
     assert outcome.status is SearchStatus.BUDGET_EXCEEDED
     assert outcome.tour.report().valid  # best-so-far is still a legal path
     assert outcome.max_depth_reached >= 2
@@ -782,12 +783,39 @@ def test_longest_path_matches_oracle_best():
             extend(s, {s})
         return best
 
+    # every seed walk on this 4x4 less six cells falls short of its
+    # 10-cell path, which the open-tour search finds
+    boards = [Board([4, 4], holes=[(0, 0), (0, 1), (0, 3), (1, 3), (3, 0), (3, 3)])]
     rng = random.Random(1357)
-    for _ in range(20):
-        board = random_board(rng, max_vertices=9)
+    boards += [random_board(rng, max_vertices=10) for _ in range(100)]
+    full_paths = collections.Counter()
+    for board in boards:
         outcome = longest_path(board)
         assert outcome.status is SearchStatus.FOUND
         assert outcome.max_depth_reached == brute_longest(board), board
+        if board.vertex_count >= 4:
+            full_paths[outcome.max_depth_reached == board.vertex_count] += 1
+    # boards of four or more cells, with and without a path through every cell
+    assert full_paths[True] >= 4 and full_paths[False] >= 40, full_paths
+
+
+# the exact longest path of every box of 2 or 3 axes, sides 2 to 7, with 6
+# to 30 cells: the boxes with a path through every cell, those where the
+# colour cap or the precheck decides, and those the sweep must prove
+LONGEST_OF_BOXES = {
+    (2, 3): 2, (2, 4): 2, (2, 5): 3, (2, 6): 3, (2, 7): 4,
+    (3, 3): 8, (3, 4): 12, (3, 5): 14, (3, 6): 17, (3, 7): 21,
+    (4, 4): 15, (4, 5): 20, (4, 6): 24, (4, 7): 28, (5, 5): 25, (5, 6): 30,
+    (2, 2, 2): 1, (2, 2, 3): 4, (2, 2, 4): 4, (2, 2, 5): 5, (2, 2, 6): 5, (2, 2, 7): 8,
+    (2, 3, 3): 16, (2, 3, 4): 24, (2, 3, 5): 30, (3, 3, 3): 25,
+}
+
+
+@pytest.mark.parametrize("sides", LONGEST_OF_BOXES, ids=lambda sides: "x".join(map(str, sides)))
+def test_longest_path_of_small_boxes(sides):
+    outcome = longest_path(Board(list(sides)))
+    assert outcome.status is SearchStatus.FOUND
+    assert outcome.max_depth_reached == LONGEST_OF_BOXES[sides]
 
 
 # (status, nodes_expanded, max_depth_reached, sha256 prefix of the tour text):
@@ -873,13 +901,34 @@ PINNED_SEARCHES = {
         lambda: find_tour(Board([4, 4]), SearchConfig(target=TourKind.OPEN, node_budget=300)),
         ("budget_exceeded", 301, 12, None),
     ),
+    # no path covers 4x4, 3x5 or 3x6: the open-tour search proves it first
+    # (1,608 nodes on 4x4), then the sweep finds the longest path
     "longest 4x4": (
         lambda: longest_path(Board([4, 4])),
-        ("found", 6966, 15, "645ed8b227c18774"),
+        ("found", 1651, 15, "645ed8b227c18774"),
     ),
+    "longest 3x5": (
+        lambda: longest_path(Board([3, 5])),
+        ("found", 378, 14, "afd6e43f7a4e14e8"),
+    ),
+    "longest 3x6": (
+        lambda: longest_path(Board([3, 6])),
+        ("found", 1552, 17, "e967ec3bbebda59e"),
+    ),
+    # one budget covers both phases: it runs out in the proof, then in the
+    # sweep, and the best path is the longest seed walk's
+    "longest 4x4 budget 5": (
+        lambda: longest_path(Board([4, 4]), node_budget=5),
+        ("budget_exceeded", 6, 12, "3c5ddaca6862f93f"),
+    ),
+    "longest 4x4 budget 1620": (
+        lambda: longest_path(Board([4, 4]), node_budget=1620),
+        ("budget_exceeded", 1621, 12, "3c5ddaca6862f93f"),
+    ),
+    # the precheck refuses a full path, and a seed walk meets the cap of 25
     "longest holed 3^3 budget 500": (
         lambda: longest_path(Board([3, 3, 3], holes=[(1, 1, 1)]), node_budget=500),
-        ("found", 26, 25, "7d958359b8c51fa9"),
+        ("found", 0, 25, "7d958359b8c51fa9"),
     ),
     "closed 5x6 parallel 2": (
         lambda: find_tour(Board([5, 6]), SearchConfig(target=TourKind.CLOSED, parallel_width=2)),

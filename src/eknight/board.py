@@ -282,16 +282,27 @@ class Board:
         return {cells[i]: tuple(cells[j] for j in nbrs[i]) for i in _bits(full)}
 
     def degree_histogram(self) -> dict[int, int]:
-        """Map degree -> number of non-hole vertices with that degree."""
-        _, masks, full = self._index_graph()
-        return dict(sorted(Counter(masks[i].bit_count() for i in _bits(full)).items()))
+        """Map degree -> number of non-hole vertices with that degree.
+
+        The map is counted once and cached; each call returns a copy of it.
+        """
+        histogram = self._cache.get("degree_histogram")
+        if histogram is None:
+            _, masks, full = self._index_graph()
+            histogram = dict(sorted(Counter(masks[i].bit_count() for i in _bits(full)).items()))
+            self._cache["degree_histogram"] = histogram
+        return dict(histogram)
 
     def is_connected(self) -> bool:
-        """True iff the knight graph on non-hole vertices is connected."""
+        """True iff the knight graph on non-hole vertices is connected (cached)."""
         if self.vertex_count == 0:
             raise ValueError("board has no vertices")
-        _, masks, full = self._index_graph()
-        return _reachable(masks, next(_bits(full)), full) == full
+        connected = self._cache.get("connected")
+        if connected is None:
+            _, masks, full = self._index_graph()
+            connected = _reachable(masks, next(_bits(full)), full) == full
+            self._cache["connected"] = connected
+        return connected
 
     def knight_distance(self, a: Vertex, b: Vertex) -> int | None:
         """Minimum number of knight jumps from a to b; None if unreachable."""

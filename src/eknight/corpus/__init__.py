@@ -10,9 +10,9 @@ and distinctness apply.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from ..board import Board, Vertex
 from ..tour import Tour, TourKind, parse_tour
@@ -65,11 +65,15 @@ def ids() -> tuple[str, ...]:
 
 
 def raw_text(entry_id: str) -> str:
-    """The entry's tour file, byte for byte; each id's file is `<id lowercased>.tour`."""
+    """The entry's tour file, byte for byte; each id's file is `<id lowercased>.tour`.
+
+    The files sit beside this module, so a plain `open` reads them.
+    """
     if entry_id not in _PROVENANCE:
         raise KeyError(f"unknown corpus id {entry_id!r}; known ids: {', '.join(_PROVENANCE)}")
     filename = f"{entry_id.lower()}.tour"
-    return resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), filename), encoding="utf-8") as f:
+        return f.read()
 
 
 @lru_cache(maxsize=None)

@@ -4,17 +4,17 @@ One driver, `_dfs`, walks the knight graph with an explicit stack (depth can
 reach the full vertex count), tracking visited cells as a bitmask over
 mixed-radix vertex indices.  Index order equals lexicographic order, so
 "smallest index first" is the lexicographic tie-break everywhere.  Tour
-search and the exact longest path differ only in the two callbacks they hand
-it: which successors to try below a head, and what a new path means.
+search and the exact longest path differ only in the starts and the two
+callbacks they hand it: which successors to try below a path, and what a
+new path means.
 
-Tour search splits its work into root branches, one per start vertex: a
-closed search, and an open search from a given start, has one.
-`_tour_search` runs them in order in one loop, as `longest_path` runs its
-starts, and stops at the first branch that does not exhaust.  One node
-budget is spent across the branches, and a spent budget is a status that
-`_dfs` returns, not an exception.  Every outcome, tour, proof or longest
-path, leaves through `_outcome`, which re-verifies its tour with
-`tour._checked`.
+A search splits its work into root branches, one per start vertex: a closed
+search, and an open search from a given start, has one.  `_dfs` alone loops
+over them, in order, and stops at the first branch that does not exhaust;
+which starts a search walks is one argument.  One node budget is spent
+across the branches, and a spent budget is a status that `_dfs` returns,
+not an exception.  Every outcome, tour, proof or longest path, leaves
+through `_outcome`, which re-verifies its tour with `tour._checked`.
 
 A path through every cell is an open tour.  So unless a seed walk already
 meets the colour cap, `longest_path` asks the open-tour search, whose cuts
@@ -133,6 +133,8 @@ class _Counters:
     __slots__ = ("nodes", "max_depth", "budget")
 
     def __init__(self, budget: int | None) -> None:
+        if budget is not None and _integers((budget,), "node_budget")[0] < 1:
+            raise ValueError("node_budget must be positive")
         self.nodes = 0
         self.max_depth = 0
         self.budget = budget
@@ -142,11 +144,6 @@ class _Counters:
         if depth > self.max_depth:
             self.max_depth = depth
         return self.budget is None or self.nodes <= self.budget
-
-
-def _check_budget(node_budget: int | None) -> None:
-    if node_budget is not None and _integers((node_budget,), "node_budget")[0] < 1:
-        raise ValueError("node_budget must be positive")
 
 
 def _alternation_bound(dark_mask: int, cells: int, head_dark: bool) -> int:
@@ -262,33 +259,32 @@ def _prunable(
 
 
 def _dfs(
-    start: int,
-    expand: Callable[[int, int], Iterable[int]],
+    starts: Iterable[int],
+    expand: Callable[[list[int], int], Iterable[int]],
     accept: Callable[[list[int]], bool],
     counters: _Counters,
 ) -> tuple[SearchStatus, list[int] | None]:
-    """Depth-first walk of the simple paths from start; the one search loop.
+    """Depth-first walk of the simple paths from each start in turn; the one search loop.
 
-    expand(head, visited) gives the successors to try in order (none cuts
-    the branch) and is called for every node, the root included; accept(path)
-    runs after every push, each charged to counters.  Returns (FOUND, path)
-    once accept is True, or (BUDGET_EXCEEDED, None) at the push that exceeds
-    the budget: a spent budget is a status, not an exception.  Otherwise
-    (EXHAUSTED_NONE, None).  An expansion's iterator runs on after its last
-    successor only when the walk below it exhausts.
+    The starts are the successors of an empty path, so every root branch is
+    walked by the same loop.  expand(path, visited) gives the successors to
+    try below the path's head in order (none cuts the branch) and is called
+    for every node, each root included; accept(path) runs after every push,
+    each charged to counters.  Returns (FOUND, path) once accept is True, or
+    (BUDGET_EXCEEDED, None) at the push that exceeds the budget: a spent
+    budget is a status, not an exception.  Otherwise, once every start is
+    walked, (EXHAUSTED_NONE, None).  An expansion's iterator runs on after
+    its last successor only when the walk below it exhausts.
     """
-    path = [start]
-    visited = 1 << start
-    if not counters.spend(1):
-        return SearchStatus.BUDGET_EXCEEDED, None
-    if accept(path):
-        return SearchStatus.FOUND, path
-    stack = [iter(expand(start, visited))]
+    path: list[int] = []
+    visited = 0
+    stack = [iter(starts)]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
-            visited &= ~(1 << path.pop())
+            if path:
+                visited &= ~(1 << path.pop())
             continue
         visited |= 1 << nxt
         path.append(nxt)
@@ -296,7 +292,7 @@ def _dfs(
             return SearchStatus.BUDGET_EXCEEDED, None
         if accept(path):
             return SearchStatus.FOUND, path
-        stack.append(iter(expand(nxt, visited)))
+        stack.append(iter(expand(path, visited)))
     return SearchStatus.EXHAUSTED_NONE, None
 
 
@@ -333,13 +329,12 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
         raise ValueError(f"search target must be a TourKind, not {config.target!r}")
     if config.target not in (TourKind.OPEN, TourKind.CLOSED):
         raise ValueError(f"search targets open or closed tours, not {config.target.value}")
-    _check_budget(config.node_budget)
+    counters = _Counters(config.node_budget)
     if _integers((config.parallel_width,), "parallel_width")[0] < 0:
         raise ValueError("parallel_width must be >= 0")
     if board.vertex_count < 1:
         raise ValueError("board has no vertices")
     start = None if config.start is None else board.index(board._require_vertex(config.start))
-    counters = _Counters(config.node_budget)
     status, path = _tour_search(board, config, start, counters)
     return _outcome(board, config.target, status, path, counters.nodes, counters.max_depth)
 
@@ -374,9 +369,6 @@ def _tour_search(
 
     rng = None if config.deterministic else random.Random()
     n = len(every)
-    # a closed search is one root branch; once the path has a second vertex,
-    # ends is (start, second vertex)
-    ends = (starts[0], -1) if closed else None
     # onward[u] counts u's neighbours among the unvisited cells and the head.
     # A closed tour's start stays usable to the end: once the root passes,
     # beside marks its neighbours
@@ -387,11 +379,10 @@ def _tour_search(
     # and an entry's neighbours keep their counts lowered while it stands
     levels: list[tuple[int, list[int]]] = [(0, every)]
 
-    def expand(head: int, visited: int) -> Iterable[int]:
-        nonlocal ends
-        depth = len(levels)
-        if closed and depth == 2:
-            ends = (starts[0], head)
+    def expand(path: list[int], visited: int) -> Iterable[int]:
+        head = path[-1]
+        # a closed search's ends are (start, second vertex), -1 at the root
+        ends = (path[0], path[1] if len(path) > 1 else -1) if closed else None
         state = _prunable(masks, full, dark_mask, visited, head, ends, onward, beside, levels[-1])
         if state is None:
             return ()
@@ -400,7 +391,7 @@ def _tour_search(
         cells = list(_bits(masks[head] & ~visited))
         for u in cells:
             onward[u] -= 1
-        if closed and depth == 1:
+        if closed and len(path) == 1:
             for u in cells:
                 beside[u] = 1
         levels.append((tight, cells))
@@ -420,11 +411,7 @@ def _tour_search(
         # closing link plus direction rule: second < last
         return not closed or bool(masks[path[-1]] >> path[0] & 1) and path[1] < path[-1]
 
-    for s in starts:
-        status, path = _dfs(s, expand, accept, counters)
-        if status is not SearchStatus.EXHAUSTED_NONE:
-            break
-    return status, path
+    return _dfs(starts, expand, accept, counters)
 
 
 def prove_nonexistence(
@@ -465,7 +452,7 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     budget the best path found so far is returned with status
     budget_exceeded.
     """
-    _check_budget(node_budget)
+    counters = _Counters(node_budget)
     if board.vertex_count < 1:
         raise ValueError("board has no vertices")
     _, masks, full = board._index_graph()
@@ -485,7 +472,8 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
             if len(best) == cap:
                 break
 
-    def expand(head: int, visited: int) -> list[int]:
+    def expand(path: list[int], visited: int) -> list[int]:
+        head = path[-1]
         rest = full & ~visited
         reach_rest = _reachable(masks, head, rest) & rest
         bound = min(
@@ -502,7 +490,6 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
         best[:] = path
         return len(best) == cap
 
-    counters = _Counters(node_budget)
     status = SearchStatus.EXHAUSTED_NONE
     if len(best) < cap == n:
         # a path through every cell is an open tour, and the tour search's
@@ -512,14 +499,11 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
             best = path
         elif status is SearchStatus.EXHAUSTED_NONE:
             cap = n - 1
-    if status is SearchStatus.EXHAUSTED_NONE:
-        for s in _bits(full) if len(best) < cap else ():
-            status, _ = _dfs(s, expand, accept, counters)
-            if status is not SearchStatus.EXHAUSTED_NONE:
-                break
-        else:
-            # every start exhausted, or a path meets the proven cap: best is longest
-            status = SearchStatus.FOUND
+    if status is SearchStatus.EXHAUSTED_NONE and len(best) < cap:
+        status, _ = _dfs(_bits(full), expand, accept, counters)
+    if status is not SearchStatus.BUDGET_EXCEEDED:
+        # a path meets the proven cap, or every start exhausted: best is longest
+        status = SearchStatus.FOUND
     return _outcome(board, TourKind.PATH, status, best, counters.nodes, len(best))
 
 

@@ -320,6 +320,14 @@ def test_degree_histograms():
     assert Board([3, 3], holes=[(1, 1)]).degree_histogram() == {2: 8}
 
 
+def test_degree_histogram_returns_a_copy():
+    board = Board([3, 3], holes=[(1, 1)])
+    histogram = board.degree_histogram()
+    histogram[2] = 0
+    histogram[7] = 1
+    assert board.degree_histogram() == {2: 8}
+
+
 def test_connectivity_thresholds():
     for k in (2, 3, 4):
         assert not Board([3] * k).is_connected()

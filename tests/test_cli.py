@@ -70,6 +70,21 @@ def test_analyze_text(capsys):
     assert "odd vertex count" in out
 
 
+def test_analyze_checks_connectivity_once(capsys, monkeypatch):
+    # the report and both verdicts read one cached connectivity check
+    calls = []
+    reachable = eknight.board._reachable
+
+    def counted(*args):
+        calls.append(args)
+        return reachable(*args)
+
+    monkeypatch.setattr(eknight.board, "_reachable", counted)
+    code, out, _ = invoke(capsys, "analyze", "--sides", "3,3,3,3,3")
+    assert code == 0 and "connected: yes" in out
+    assert len(calls) == 1
+
+
 def test_analyze_both_infeasible_exit_code(capsys):
     code, out, _ = invoke(capsys, "analyze", "--sides", "3,3,3,3")
     assert code == 1
@@ -472,7 +487,7 @@ import sys
 import eknight.cli
 
 def loaded():
-    watched = ("dataclasses", "multiprocessing")
+    watched = ("dataclasses", "importlib.resources", "multiprocessing", "pathlib")
     return " ".join(sorted(m for m in sys.modules if m.startswith("eknight") or m in watched))
 
 at_import = loaded()
@@ -508,7 +523,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         err = _standard_library_python(_LOADED_BY_A_COMMAND, *argv).stderr
         at_import, after_run = (set(line.split()) for line in err.splitlines()[-2:])
         assert at_import == start, argv
-        # multiprocessing stays out too: no command starts a process
+        # multiprocessing stays out too: no command starts a process; nor
+        # does a package-data reader, since the corpus opens its files
+        assert not after_run & {"importlib.resources", "multiprocessing", "pathlib"}, argv
         expected = start | {f"eknight.{name}" for name in needed}
         assert after_run - {"dataclasses"} == expected, argv
         if argv[0] == "distance":

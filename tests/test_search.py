@@ -144,6 +144,55 @@ def test_greedy_seeding_walks_from_at_most_the_budget(monkeypatch):
     )
 
 
+# a triangle 0-1-2 with a tail 2-3: the stub graph of the `_dfs` tests
+_STUB = {0: [1, 2], 1: [0, 2], 2: [0, 1, 3], 3: [2]}
+
+
+def _stub_walk(starts, budget=None, found=lambda path: False):
+    """Run `_dfs` on the stub graph; returns its result, the nodes it
+    charged and the path each expansion was handed."""
+    counters = eknight.search._Counters(budget)
+    expanded = []
+
+    def expand(path, visited):
+        expanded.append(tuple(path))
+        return [u for u in _STUB[path[-1]] if not visited >> u & 1]
+
+    result = eknight.search._dfs(starts, expand, found, counters)
+    return result, counters.nodes, expanded
+
+
+def test_dfs_walks_its_starts_in_order():
+    (status, path), nodes, expanded = _stub_walk([3, 0, 2])
+    assert (status, path) == (SearchStatus.EXHAUSTED_NONE, None)
+    roots = [p[0] for p in expanded if len(p) == 1]
+    assert roots == [3, 0, 2]
+    # every simple path from each start, each handed to expand as it stands
+    assert expanded[:5] == [(3,), (3, 2), (3, 2, 0), (3, 2, 0, 1), (3, 2, 1)]
+    assert nodes == len(expanded) == 6 + 7 + 6
+
+
+def test_dfs_stops_at_the_first_found_path():
+    (status, path), nodes, expanded = _stub_walk([3, 0, 1], found=lambda p: p[:2] == [0, 2])
+    assert (status, path) == (SearchStatus.FOUND, [0, 2])
+    assert [p[0] for p in expanded if len(p) == 1] == [3, 0]
+    assert nodes == 6 + 5
+
+
+def test_dfs_spends_one_budget_across_its_starts():
+    # start 3 takes 6 nodes, so a budget of 8 runs out inside start 0's walk
+    for budget in (1, 6, 8, 18):
+        (status, path), nodes, _ = _stub_walk([3, 0, 2], budget=budget)
+        assert (status, path, nodes) == (SearchStatus.BUDGET_EXCEEDED, None, budget + 1)
+    (status, _), nodes, _ = _stub_walk([3, 0, 2], budget=19)
+    assert (status, nodes) == (SearchStatus.EXHAUSTED_NONE, 19)
+
+
+def test_dfs_with_no_start_expands_nothing():
+    (status, path), nodes, expanded = _stub_walk([], budget=1, found=lambda p: True)
+    assert (status, path, nodes, expanded) == (SearchStatus.EXHAUSTED_NONE, None, 0, [])
+
+
 def test_budget_semantics():
     outcome = find_tour(
         Board([2] * 6),

@@ -230,8 +230,8 @@ class Board:
 
     def contains(self, v: Vertex) -> bool:
         """True iff v is a playable (non-hole) cell of this board; its
-        coordinates must be integers, as `in_box` says."""
-        return self.in_box(v) and v not in self.holes
+        coordinates must be integers, as `in_box` says, and count by value."""
+        return self.in_box(v) and tuple(map(operator.index, v)) not in self.holes
 
     def index(self, v: Vertex) -> int:
         """Mixed-radix index of v; defined for every cell of the box."""
@@ -263,12 +263,14 @@ class Board:
         return (v for v in self._cells() if v not in self.holes)
 
     def _require_vertex(self, v: Vertex) -> Vertex:
+        """v's coordinates as ints; ValueError unless v is a playable cell."""
         v = tuple(v)
         if not self.in_box(v):
             raise ValueError(f"vertex {v} lies outside the board")
-        if v in self.holes:
+        cell = tuple(map(operator.index, v))
+        if cell in self.holes:
             raise ValueError(f"vertex {v} is a removed cell")
-        return v
+        return cell
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """All non-hole knight targets of v, in lexicographic order."""

@@ -11,21 +11,17 @@ A tour claims one of four kinds:
 
 Verification is total: any dimension-consistent input yields a report whose
 violations are grouped by check, in the order membership, link legality,
-coverage, closure; the first is the report's.  Membership and link checks
-run one axis at a time on the coordinates packed into bytes, with each
-link's squared and taxicab lengths summed in lanes of one big integer; input
-the packing cannot hold takes a per-link fallback with the same results.
+coverage, closure; the first is the report's.  The checks run one axis at
+a time on coordinates packed into bytes, summing each link's lengths and each
+vertex's board index in lanes of big integers; holes and repeats are found
+by index, so by value.  Other input takes a per-link fallback.
 
 A tour file is a header (`board:`, `hole:` and `kind:` lines) followed by
 one vertex line per entry.  Its vertex block is canonical when every line
 holds exactly k one-digit fields joined by commas and ends in `\n`, with no
 blank, comment or other line: 2k bytes per vertex, digits at even offsets.
-`serialize_tour` writes such a block whenever every coordinate is an int
-0..9, and `parse_tour` decodes one, in a few `bytes` operations over the
-whole block.  Other vertices are written one line at a time, and other text
-is read one line at a time up to the line holding its last character that
-is not a digit, comma or newline.  Both paths give the same text, vertices
-and errors.
+`serialize_tour` writes and `parse_tour` reads such a block in a few
+`bytes` operations; all else goes one line at a time, to the same effect.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import countOf
+from operator import countOf, index
 
 from .board import (
     KNIGHT_SQUARED_LENGTH,
@@ -50,6 +46,7 @@ from .board import (
     squared_distance,
     taxicab_distance,
 )
+from ._packed import _marked, _packed_checks
 
 
 class TourKind(Enum):
@@ -133,17 +130,14 @@ def verify(
 ) -> VerificationReport:
     """Check a vertex sequence against a board and a claimed kind.
 
-    A vertex is a cell when `Board.in_box` holds for it and it is no hole:
-    a coordinate that `operator.index` refuses, such as a float, Fraction or
-    Decimal, makes a vertex that lies outside the board, whatever its value.
-    The per-link and per-coordinate work runs a column at a time in `bytes`
-    and `int` operations (see `_packed_checks`); coordinates outside 0..127,
-    non-integers and boards of more than `_LANE_AXES` axes take a per-link
-    fallback that computes the same values.  One count table serves every
-    kind, and the sequence is walked in Python only at repeated vertices.
-    The report order is the module docstring's.  Endpoint squared distance
-    and the per-link taxicab histogram are always computed, even for invalid
-    sequences.  A claimed kind that is not a `TourKind` raises ValueError.
+    A vertex is a cell when `Board.in_box` holds for it and it is no hole: a
+    coordinate that `operator.index` refuses, such as a float, makes a vertex
+    outside the board; one it accepts counts as that int.  Entries are keyed
+    by board index (see `_packed`), and only repeated vertices are
+    walked in Python; entries outside the box, boxes of over 2**64 cells and
+    the per-link fallback key by tuples of values.  Endpoint distance and
+    taxicab histogram are always computed.  A claimed kind that is not a
+    `TourKind` raises ValueError.
     """
     if not isinstance(claimed, TourKind):
         raise ValueError(f"claimed kind must be a TourKind, not {claimed!r}")
@@ -157,48 +151,48 @@ def verify(
 
     checks = _packed_checks(vs, sides)
     if checks is None:
+        keys = list(map(_values, vs))
         outside = [i for i, v in enumerate(vs) if not board.in_box(v)]
         illegal = [
-            i for i, (a, b) in enumerate(zip(vs, vs[1:]))
+            i for i, (a, b) in enumerate(zip(keys, keys[1:]))
             if squared_distance(a, b) != KNIGHT_SQUARED_LENGTH
         ]
-        taxicab_counts = Counter(map(taxicab_distance, vs, vs[1:]))
+        taxicab_counts = Counter(map(taxicab_distance, keys, keys[1:]))
     else:
-        outside, illegal, taxicab_counts = checks
-    removed = _marked(bytes(map(holes.__contains__, vs))) if holes else []
+        outside, illegal, taxicab_counts, keys = checks
+    # a key is an index or a tuple of values: a hole matches either
+    hole_keys = holes.union(map(board.index, holes))
+    removed = _marked(bytes(map(hole_keys.__contains__, keys))) if holes else []
     where = dict.fromkeys(removed, "is a removed cell")
     # an entry equal to a hole but with a coordinate that is no integer lies outside
     where.update(dict.fromkeys(outside, "lies outside the board"))
     members = [Violation(i, f"vertex {format_vertex(vs[i])} {where[i]}") for i in sorted(where)]
     links = [
-        Violation(i, f"link {i}: squared length {squared_distance(vs[i], vs[i + 1])} (expected 5)")
+        Violation(i, f"link {i}: squared length {_squared(vs[i], vs[i + 1])} (expected 5)")
         for i in illegal
     ]
 
     n = len(vs)
-    first, last = vs[0], vs[-1]
+    first, last = keys[0], keys[-1]
     near = claimed is TourKind.NEAR_CLOSED
-    at = dict(zip(vs, range(n)))  # each vertex's last position
-    seen: dict[Vertex, int] = {}  # visits of each repeated vertex
+    distinct = len(set(keys))
+    seen = {}  # visits of each repeated vertex
     repeats: list[Violation] = []
-    if len(at) < n:  # only the repeated vertices are walked
-        again = bytearray(b"\x01") * n  # 1 where the vertex comes again later
-        for i in at.values():
-            again[i] = 0
-        earlier = _marked(again)
-        seen = dict.fromkeys(map(vs.__getitem__, earlier), 0)
-        for i in sorted(chain(earlier, map(at.__getitem__, seen))):
-            v = vs[i]
-            c = seen[v] = seen[v] + 1
+    if distinct < n:  # only the repeated vertices are walked
+        seen = {key: 0 for key, c in Counter(keys).items() if c > 1}
+        for i in _marked(bytes(map(seen.__contains__, keys))):
+            key = keys[i]
+            c = seen[key] = seen[key] + 1
+            shown = format_vertex(vs[i])
             if c > 1 and not near:
-                repeats.append(Violation(i, f"vertex {format_vertex(v)} visited more than once"))
-            elif c == 2 and v == first:  # near_closed only from here
+                repeats.append(Violation(i, f"vertex {shown} visited more than once"))
+            elif c == 2 and key == first:  # near_closed only from here
                 repeats.append(Violation(i, "start vertex revisited before the final return"))
             elif c == 3:
-                repeats.append(Violation(i, f"vertex {format_vertex(v)} visited a third time"))
+                repeats.append(Violation(i, f"vertex {shown} visited a third time"))
 
     end, total = n - 1, board.vertex_count
-    endpoint = squared_distance(first, last)
+    endpoint = _squared(vs[0], vs[-1])
     tail: list[Violation] = []  # coverage, then closure
     if not near:
         tail += repeats
@@ -215,7 +209,7 @@ def verify(
         twice = list(seen.values()).count(2) - (seen.get(first) == 2)
         if twice != 1:
             tail.append(Violation(end, f"{twice} vertices visited twice (exactly one required)"))
-        covered = len(at) if n > 1 else 0
+        covered = distinct if n > 1 else 0
         if covered != total:
             tail.append(Violation(end, f"covers {covered} of {total} board vertices"))
     if claimed is TourKind.CLOSED:
@@ -235,69 +229,20 @@ def verify(
     )
 
 
-# Each link is one 3-byte lane: byte 0 sums the per-axis squares capped at 6,
-# which is 5 exactly when the link is a knight move; bytes 1-2 sum the per-axis
-# absolute steps, the link's taxicab length.  42 * 6 < 256 and 42 * 127 < 2**16,
-# so up to 42 axes no lane carries into the next.
-_LANE_AXES = 42
-_CAPPED_SQUARE = bytes(min((b - 128) ** 2, 6) for b in range(256))
-_ABS_STEP = bytes(abs(b - 128) for b in range(256))
-_NOT_KNIGHT = bytes(b != KNIGHT_SQUARED_LENGTH for b in range(256))
-
-
-def _marked(flags: bytes) -> list[int]:
-    """Positions of the 1 bytes of a 0/1 flag string, in increasing order."""
-    found = []
-    i = flags.find(1)
-    while i >= 0:
-        found.append(i)
-        i = flags.find(1, i + 1)
-    return found
-
-
-def _packed_checks(
-    vs: list[Vertex], sides: tuple[int, ...]
-) -> tuple[list[int], list[int], Counter[int]] | None:
-    """(outside entries, illegal links, taxicab histogram), one axis at a time.
-
-    The coordinates are packed into one byte each; axis a's column is every
-    k-th byte.  Read as little-endian integers, column[1:] + 0x8080...80 -
-    column[:-1] holds each link's signed step on the axis, plus 128, in one
-    byte: with every coordinate below 128 no byte carries or borrows.  Translating those
-    bytes gives each link's capped square and absolute step on the axis, and
-    the per-axis sums accumulate in the lanes described above.  None when a
-    coordinate is not an int in 0..127 or the board has more than
-    `_LANE_AXES` axes.
-    """
-    k = len(sides)
-    if k > _LANE_AXES:
-        return None
+def _value(c):
     try:
-        rows = bytes(chain.from_iterable(vs))
-    except (TypeError, ValueError):
-        return None
-    if not rows.isascii():  # a coordinate above 127
-        return None
-    m = len(vs) - 1
-    bias = int.from_bytes(b"\x80" * m, "little")
-    spread = bytearray(3 * m)  # one axis's squares and steps, in lane layout
-    sums = 0
-    outside: set[int] = set()
-    for a, side in enumerate(sides):
-        column = rows[a::k]
-        outside.update(_marked(column.translate(bytes(c >= side for c in range(256)))))
-        after = int.from_bytes(column[1:], "little") + bias
-        step = (after - int.from_bytes(column[:-1], "little")).to_bytes(m, "little")
-        spread[0::3] = step.translate(_CAPPED_SQUARE)
-        spread[1::3] = step.translate(_ABS_STEP)
-        sums += int.from_bytes(spread, "little")
-    packed = sums.to_bytes(3 * m, "little")
-    low, high = packed[1::3], packed[2::3]
-    if high.count(0) == m:  # every taxicab length fits its low byte
-        taxicab = Counter(low)
-    else:
-        taxicab = Counter(lo | hi << 8 for lo, hi in zip(low, high))
-    return sorted(outside), _marked(packed[0::3].translate(_NOT_KNIGHT)), taxicab
+        return index(c)
+    except TypeError:
+        return c
+
+
+def _values(v: Vertex) -> tuple:
+    """v, with each coordinate that `operator.index` accepts as that int."""
+    return tuple(map(_value, v))
+
+
+def _squared(a: Vertex, b: Vertex) -> int:
+    return squared_distance(_values(a), _values(b))
 
 
 # The canonical vertex block: one line per vertex, each coordinate one decimal
@@ -305,6 +250,7 @@ def _packed_checks(
 # k - 1 commas and a newline at odd ones.
 _DIGIT_OF = bytes(48 + b if b < 10 else 0 for b in range(256))  # above 9: NUL, not a digit
 _VALUE_OF = bytes(b - 48 if 48 <= b < 58 else 128 for b in range(256))  # not a digit: 128
+_NOT_IN_BLOCK = bytes(b not in b"0123456789,\n" for b in range(256))
 
 
 def _separators(n: int, k: int) -> bytes:
@@ -312,18 +258,14 @@ def _separators(n: int, k: int) -> bytes:
     return (b"," * (k - 1) + b"\n") * n
 
 
-def _canonical_vertices(text: str, start: int, k: int) -> list[Vertex] | None:
-    """The vertices of text[start:], which holds only digits, commas and
-    newlines, when it is a canonical vertex block; else None."""
-    raw = text[start:].encode("ascii")
-    n, rest = divmod(len(raw), 2 * k)
-    if rest or raw[1::2] != _separators(n, k):
+def _canonical_values(encoded: bytes, start: int, k: int) -> bytes | None:
+    """The coordinate values of encoded[start:], which holds only digits,
+    commas and newlines, when it is a canonical vertex block; else None."""
+    n, rest = divmod(len(encoded) - start, 2 * k)
+    if rest or encoded[start + 1::2] != _separators(n, k):
         return None
-    values = raw[0::2].translate(_VALUE_OF)
-    del raw  # the tuples need only the values: free the block before building them
-    if not values.isascii():  # a comma or newline where a digit belongs
-        return None
-    return list(zip(*[iter(values)] * k))
+    values = encoded[start::2].translate(_VALUE_OF)
+    return values if values.isascii() else None  # else a comma or newline for a digit
 
 
 def _canonical_block(vertices: list[Vertex] | tuple[Vertex, ...], k: int) -> str | None:
@@ -369,11 +311,16 @@ def parse_tour(text: str) -> tuple[Board, TourKind, list[Vertex]]:
     kind: TourKind | None = None
     vertices: list[Vertex] = []
     lineno = 0
-    cut = text.find("\n", len(text.rstrip("0123456789,\n"))) + 1 or len(text)
+    encoded = text.encode("utf-8", "surrogatepass")
+    skew = len(encoded) - len(text)  # what follows the cut is ASCII: one byte a character
+    cut = text.find("\n", encoded.translate(_NOT_IN_BLOCK).rfind(1) + 1 - skew) + 1 or len(text)
     for start, stop in ((0, cut), (cut, len(text))):
-        if kind is not None and (bulk := _canonical_vertices(text, start, len(sides))) is not None:
-            vertices += bulk
-            break
+        if kind is not None:
+            values = _canonical_values(encoded, start + skew, len(sides))
+            del encoded  # free the bytes before the tuples are built
+            if values is not None:
+                vertices += list(zip(*[iter(values)] * len(sides)))
+                break
         for lineno, raw in enumerate(text[start:stop].splitlines(), lineno + 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -152,7 +152,8 @@ def reference_verify(
     It walks the sequence once per check (membership, links, coverage,
     closure) and near-closed coverage in a walk of its own, so a report it
     agrees with has the same violations, in the same order, with the same
-    diagnostics.
+    diagnostics.  Every check compares values: a coordinate that
+    `operator.index` accepts counts as that int.
     """
     vertices = [tuple(v) for v in vertices]
     if not vertices:
@@ -162,6 +163,7 @@ def reference_verify(
         if len(v) != k:
             raise ValueError(f"vertex {v} has {len(v)} coordinates, board has {k}")
 
+    values = [tuple(map(_value, v)) for v in vertices]
     violations: list[Violation] = []
     stopped = False
 
@@ -185,13 +187,13 @@ def reference_verify(
     for i, v in enumerate(vertices):
         if not in_box(v):
             add(i, f"vertex {format_vertex(v)} lies outside the board")
-        elif v in board.holes:
+        elif values[i] in board.holes:
             add(i, f"vertex {format_vertex(v)} is a removed cell")
 
     # link legality (histogram over all explicit links regardless of validity)
     taxicab_counts: Counter[int] = Counter()
     for i in range(len(vertices) - 1):
-        a, b = vertices[i], vertices[i + 1]
+        a, b = values[i], values[i + 1]
         taxicab_counts[taxicab_distance(a, b)] += 1
         sq = squared_distance(a, b)
         if sq != KNIGHT_SQUARED_LENGTH:
@@ -199,12 +201,12 @@ def reference_verify(
 
     # coverage / multiplicity per claimed kind
     if claimed is TourKind.NEAR_CLOSED:
-        _reference_check_near_closed(board, vertices, add)
+        _reference_check_near_closed(board, vertices, values, add)
     else:
         seen: set[Vertex] = set()
-        for i, v in enumerate(vertices):
+        for i, v in enumerate(values):
             if v in seen:
-                add(i, f"vertex {format_vertex(v)} visited more than once")
+                add(i, f"vertex {format_vertex(vertices[i])} visited more than once")
             seen.add(v)
         if claimed is not TourKind.PATH and len(vertices) != board.vertex_count:
             add(
@@ -216,23 +218,31 @@ def reference_verify(
     if claimed is TourKind.CLOSED:
         if len(vertices) < 3:
             add(len(vertices) - 1, "a closed tour needs at least 3 vertices")
-        closing = squared_distance(vertices[-1], vertices[0])
+        closing = squared_distance(values[-1], values[0])
         if closing != KNIGHT_SQUARED_LENGTH:
             add(len(vertices) - 1, f"closing link squared length {closing} (expected 5)")
 
     return VerificationReport(
         valid=not violations,
         violations=tuple(violations),
-        endpoint_squared_distance=squared_distance(vertices[0], vertices[-1]),
+        endpoint_squared_distance=squared_distance(values[0], values[-1]),
         move_taxicab_counts=dict(sorted(taxicab_counts.items())),
         entry_count=len(vertices),
         link_count=len(vertices) - 1,
     )
 
 
-def _reference_check_near_closed(board: Board, vertices: list[Vertex], add) -> None:
-    first = vertices[0]
-    if vertices[-1] != first:
+def _value(c):
+    """c as an int when `operator.index` accepts it, else c itself."""
+    try:
+        return operator.index(c)
+    except TypeError:
+        return c
+
+
+def _reference_check_near_closed(board: Board, vertices: list[Vertex], values, add) -> None:
+    first = values[0]
+    if values[-1] != first:
         add(len(vertices) - 1, "walk does not return to its start")
         return
     expected = board.vertex_count + 2
@@ -243,14 +253,14 @@ def _reference_check_near_closed(board: Board, vertices: list[Vertex], add) -> N
             f"{board.vertex_count} vertices needs {expected}",
         )
     # the final return to the start is the endpoint pairing, so count the body
-    body = vertices[:-1]
+    body = values[:-1]
     counts: dict[Vertex, int] = {}
     for i, v in enumerate(body):
         counts[v] = counts.get(v, 0) + 1
         if v == first and counts[v] == 2:
             add(i, "start vertex revisited before the final return")
         elif counts[v] == 3:
-            add(i, f"vertex {format_vertex(v)} visited a third time")
+            add(i, f"vertex {format_vertex(vertices[i])} visited a third time")
     doubled = sorted(v for v, c in counts.items() if c == 2 and v != first)
     if len(doubled) != 1:
         add(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eknight import corpus
 import eknight.tour
+from eknight._packed import _LANE_AXES, _packed_checks
 from eknight.board import Board, parse_board_text
 from eknight.construct import closed_tour_on_hypercube, extend_closed_tour
 from eknight.feasibility import color
@@ -18,9 +19,7 @@ from eknight.tour import (
     TourKind,
     TourParseError,
     Violation,
-    _LANE_AXES,
     _checked,
-    _packed_checks,
     classify_move,
     parse_tour,
     serialize_tour,
@@ -337,6 +336,11 @@ def _parsed(reader, text):
 @given(tour_text())
 @example("board: 3\nkind: path\n0\n\n\n")  # blank lines, with a newline at a digit offset
 @example("board: 3 x 3\nkind: open\n0,0\n,,,\n")  # commas at digit offsets
+# the bulk block starts after non-ASCII text: a two-byte character or a lone
+# surrogate on the last comment line, a three-byte one on the last header line
+@example("board: 3 x 3\nkind: open\n# caf\u00e9\n0,0\n1,2\n")
+@example("board: 3 x 3\nkind: open\n# \ud800\n0,0\n1,2\n")
+@example("# \u00fc\nboard: 3 x 3\nkind: open \u2603\n0,0\n")
 @settings(max_examples=400)
 def test_parse_tour_matches_the_per_line_reader(text):
     assert _parsed(parse_tour, text) == _parsed(reference_parse_tour, text)
@@ -385,6 +389,7 @@ def test_canonical_vertex_block_is_read_in_bulk(monkeypatch):
         f"{header}kind: closed\n# note\n{block}",
         text + "# end\n",
         text[:-1],
+        f"{header}kind: closed\n# caf\u00e9 \ud800\n{block}",
     ]
     for variant in variants:
         assert _parsed(parse_tour, variant) == _parsed(reference_parse_tour, variant)
@@ -396,6 +401,7 @@ def test_canonical_vertex_block_is_read_in_bulk(monkeypatch):
     monkeypatch.setattr(eknight.tour, "parse_vertex", per_line)
     assert parse_tour(text) == (tour.board, tour.kind, list(tour.vertices))
     assert parse_tour(variants[1])[2] == list(tour.vertices)
+    assert parse_tour(variants[-1])[2] == list(tour.vertices)
 
 
 def test_tour_dataclass_helpers():
@@ -621,8 +627,24 @@ class _Int(int):
     """An int subclass, which `operator.index` accepts as a coordinate."""
 
 
+class _Index:
+    """A coordinate that `operator.index` accepts but that is no int: it has
+    no arithmetic and compares and hashes by identity, so only its value
+    tells two of them apart."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"_Index({self.value})"
+
+
 # each turns an int coordinate into another type: a float, Fraction or Decimal
-# is never a coordinate, whatever its value; a bool or int subclass always is
+# is never a coordinate, whatever its value; a bool, an int subclass or an
+# index-only type always is, and counts as its value
 TO_OTHER_TYPE = {
     "float": float,
     "float plus a half": lambda c: c + 0.5,
@@ -632,6 +654,7 @@ TO_OTHER_TYPE = {
     "Decimal plus a half": lambda c: Decimal(c) + Decimal("0.5"),
     "bool": lambda c: bool(c) if c in (0, 1) else c,
     "int subclass": _Int,
+    "index only": _Index,
 }
 
 
@@ -671,9 +694,10 @@ def walk_with_other_coordinate_types(draw):
 @given(walk_with_other_coordinate_types())
 @settings(max_examples=200)
 def test_verify_refuses_coordinates_that_are_not_integers(case):
-    # a vertex is a cell only when every coordinate is an int, a bool or
-    # another int subclass; any other is reported where membership is, as a
-    # vertex outside the board, by both verify paths and by the reference
+    # a vertex is a cell only when every coordinate is an int, a bool,
+    # another int subclass or an index-only type; any other is reported where
+    # membership is, as a vertex outside the board, by both verify paths and
+    # by the reference
     board, vertices, kind = case
     _assert_matches_reference(board, vertices, kind)
     report = verify(board, vertices, kind, all_violations=True)
@@ -682,8 +706,9 @@ def test_verify_refuses_coordinates_that_are_not_integers(case):
         if v.description.endswith(("lies outside the board", "is a removed cell"))
     }
     for i, v in enumerate(vertices):
-        cell = all(isinstance(c, int) and 0 <= c < s for c, s in zip(v, board.sides))
-        cell = cell and v not in board.holes
+        ints = tuple(c.value if isinstance(c, _Index) else c for c in v)
+        cell = all(isinstance(c, int) and 0 <= c < s for c, s in zip(ints, board.sides))
+        cell = cell and ints not in board.holes
         assert board.contains(v) == cell
         assert (i in members) == (not cell), (i, v)
 
@@ -696,3 +721,94 @@ def test_a_tour_shifted_off_the_integers_is_refused():
     assert report.first_violation == Violation(0, "vertex 0.5,0,0,0,0,0 lies outside the board")
     assert [v.index for v in report.violations] == list(range(64))
     _assert_matches_reference(entry.board, shifted)
+
+
+def test_holes_and_repeats_are_judged_by_value():
+    # each _Index is a fresh object, equal to no other, with no arithmetic
+    def cell(*values):
+        return tuple(map(_Index, values))
+
+    # (0, 0) twice and (2, 0) never: no open tour of the 3x3 board less its centre
+    board = Board([3, 3], [(1, 1)])
+    walk = [cell(0, 0), (1, 2), cell(0, 0), (2, 1), (0, 2), (1, 0), (2, 2), (0, 1)]
+    report = verify(board, walk, TourKind.OPEN, all_violations=True)
+    assert report.violations == (
+        Violation(2, "vertex _Index(0),_Index(0) visited more than once"),
+    )
+    assert report.endpoint_squared_distance == 1
+    _assert_matches_reference(board, walk)
+
+    # a hole written in index-only coordinates is still the hole
+    board = Board([4, 4], [(1, 1)])
+    assert not board.contains(cell(1, 1))
+    with pytest.raises(ValueError, match="is a removed cell"):
+        board.neighbors(cell(1, 1))
+    assert board.knight_distance(cell(0, 0), cell(0, 0)) == 0
+    assert board.knight_distance(cell(0, 0), (1, 2)) == 1
+    walk = [cell(1, 1), (3, 2)]
+    report = verify(board, walk, TourKind.PATH, all_violations=True)
+    assert report.violations == (Violation(0, "vertex _Index(1),_Index(1) is a removed cell"),)
+    _assert_matches_reference(board, walk)
+
+    # coordinates above 127 take the per-link fallback, which compares values too
+    board = Board([200, 200])
+    walk = [(130, 0), (131, 2), cell(130, 0)]
+    assert _packed_checks(walk, board.sides) is None
+    report = verify(board, walk, TourKind.PATH, all_violations=True)
+    assert report.violations == (
+        Violation(2, "vertex _Index(130),_Index(0) visited more than once"),
+    )
+    _assert_matches_reference(board, walk)
+
+
+def test_verify_stays_total_on_coordinates_without_arithmetic():
+    # link lengths, the endpoint distance and the taxicab histogram come from
+    # the values, on the packed path and on the fallback alike
+    for board, walk in [
+        (Board([3, 3]), [tuple(map(_Index, (0, 0))), tuple(map(_Index, (1, 1)))]),
+        (Board([200, 200]), [tuple(map(_Index, (130, 0))), tuple(map(_Index, (131, 1)))]),
+    ]:
+        report = verify(board, walk, TourKind.CLOSED, all_violations=True)
+        assert report.endpoint_squared_distance == 2
+        assert report.move_taxicab_counts == {2: 1}
+        assert [v.description for v in report.violations] == [
+            "link 0: squared length 2 (expected 5)",
+            f"2 entries for {board.vertex_count} board vertices",
+            "a closed tour needs at least 3 vertices",
+            "closing link squared length 2 (expected 5)",
+        ]
+        _assert_matches_reference(board, walk)
+
+
+# each box with the width in bytes of its index lanes, at the edges of every
+# width: 0 past 2**64 cells, where every entry keys by its tuple, and None past
+# `_LANE_AXES` axes, where verify takes the per-link fallback
+LANE_EDGES = [
+    ([2] * 8, 1), ([2] * 9, 2), ([2] * 16, 2), ([2] * 17, 4), ([2] * 32, 4), ([2] * 33, 8),
+    ([4] * 32, 8), ([4] * 31 + [5], 0), ([3] * 42, 0), ([2] * 64, None), ([2] * 65, None),
+]
+
+
+@pytest.mark.parametrize("sides, width", LANE_EDGES)
+def test_index_lanes_at_their_width_edges(sides, width):
+    k = len(sides)
+    origin = (0,) * k
+    top = tuple(s - 1 for s in sides)  # the last cell, whose index fills its lanes
+    hole = (1,) + origin[1:]
+    board = Board(sides, [hole])
+    # outside on every axis, and on one axis between coordinates at the top
+    far, mid = (127,) * k, top[: k // 2] + (127,) + top[k // 2 + 1 :]
+    walk = [origin, top, far, top, hole, mid, origin, mid, top]
+    checks = _packed_checks(walk, board.sides)
+    assert (checks is None) == (width is None)
+    if checks is not None:
+        assert checks[0] == [2, 5, 7]
+        keys = [board.index(v) if width and board.in_box(v) else v for v in walk]
+        assert list(checks[3]) == keys
+        cells = [origin, top, hole, top]
+        keys = _packed_checks(cells, board.sides)[3]
+        if width:
+            assert (keys.itemsize, list(keys)) == (width, list(map(board.index, cells)))
+        else:
+            assert keys == cells
+    _assert_matches_reference(board, walk)

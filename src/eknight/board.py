@@ -123,6 +123,45 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _Record:
+    """A frozen value: what `@dataclass(frozen=True)` gives, without `dataclasses`.
+
+    The fields are the parameters of the subclass's `__init__`, in order, which
+    passes their values on to this one.  `==`, `hash` and `repr` run over them;
+    `vars()`, pickling and `copy` see them, in order, in `__dict__`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def __init__(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class _Rows:
     """Neighbour tuples decoded when read: rows[i] lists mask i's bits in order."""
 
@@ -235,7 +274,7 @@ class Board:
 
     def index(self, v: Vertex) -> int:
         """Mixed-radix index of v; defined for every cell of the box."""
-        return sum(c * w for c, w in zip(v, self._weights))
+        return sum(operator.index(c) * w for c, w in zip(v, self._weights))
 
     def vertex_at(self, index: int) -> Vertex:
         if not 0 <= index < self._box_size:

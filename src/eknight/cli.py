@@ -15,7 +15,6 @@ it runs at its start, so `distance` loads no other module of the package.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .board import Board, _parse_ints, format_sides, format_vertex, parse_board_text, parse_vertex
@@ -27,7 +26,7 @@ if TYPE_CHECKING:
     from .tour import Tour, TourKind, VerificationReport
 
 # exit code, JSON payload (None: the text in both modes), text-mode stdout;
-# a dataclass in the payload is written as the object of its fields
+# a record (`board._Record`) in the payload is written as the object of its fields
 _Output = tuple[int, dict | None, str]
 
 
@@ -370,6 +369,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         code, payload, text = args.handler(args)
         if args.format == "json" and payload is not None:
+            import json  # only this form writes JSON
+
             text = json.dumps(payload, sort_keys=True, default=vars) + "\n"
         # flushed inside the try, so a failed write exits 2 even when stdout is buffered
         sys.stdout.write(text)

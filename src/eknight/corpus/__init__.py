@@ -11,10 +11,9 @@ and distinctness apply.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
-from ..board import Board, Vertex
+from ..board import Board, Vertex, _Record
 from ..tour import Tour, TourKind, parse_tour
 
 PO_3_5 = "PO_3_5"
@@ -48,13 +47,11 @@ _PROVENANCE = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: str
-    board: Board
-    kind: TourKind
-    vertices: tuple[Vertex, ...]
-    provenance: str
+class CorpusEntry(_Record):
+    def __init__(
+        self, id: str, board: Board, kind: TourKind, vertices: tuple[Vertex, ...], provenance: str
+    ) -> None:
+        super().__init__(id, board, kind, vertices, provenance)
 
     def tour(self) -> Tour:
         return Tour(self.board, self.kind, self.vertices)

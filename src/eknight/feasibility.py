@@ -23,11 +23,10 @@ closed 4 x n and 2^4 x 4, with or without holes.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .board import Board, Vertex, _integers
+from .board import Board, Vertex, _integers, _Record
 
 
 class Color(Enum):
@@ -67,17 +66,17 @@ def move_decompositions(k: int) -> set[tuple[int, ...]]:
     return {shape for shape in _MOVE_SHAPES if len(shape) <= k}
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(_Record):
     """Outcome of a necessary-condition scan.
 
     reasons lists the violated conditions (empty iff feasible); notes carry
     non-binding diagnostics.
     """
 
-    feasible: bool
-    reasons: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+    def __init__(
+        self, feasible: bool, reasons: tuple[str, ...], notes: tuple[str, ...] = ()
+    ) -> None:
+        super().__init__(feasible, reasons, notes)
 
 
 def _verdict(reasons: Iterable[str], notes: Iterable[str] = ()) -> FeasibilityVerdict:

@@ -80,11 +80,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
-from .board import Board, Vertex, _bits, _integers, _reachable, _spread
+from .board import Board, Vertex, _bits, _integers, _reachable, _Record, _spread
 from .feasibility import closed_tour_necessary, color_counts, open_tour_necessary
 from .tour import Tour, TourKind, _checked
 
@@ -95,8 +94,7 @@ class SearchStatus(Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Solver parameters.
 
     With deterministic=True the found tour, the node count and the depth are
@@ -112,21 +110,27 @@ class SearchConfig:
     stays only while the benchmark's jobs pass it, and goes once they stop.
     """
 
-    target: TourKind = TourKind.OPEN
-    start: Vertex | None = None
-    use_warnsdorff: bool = True
-    node_budget: int | None = None
-    deterministic: bool = True
-    parallel_width: int = 0
-    use_feasibility_precheck: bool = True
+    def __init__(
+        self,
+        target: TourKind = TourKind.OPEN,
+        start: Vertex | None = None,
+        use_warnsdorff: bool = True,
+        node_budget: int | None = None,
+        deterministic: bool = True,
+        parallel_width: int = 0,
+        use_feasibility_precheck: bool = True,
+    ) -> None:
+        super().__init__(
+            target, start, use_warnsdorff, node_budget, deterministic, parallel_width,
+            use_feasibility_precheck,
+        )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: SearchStatus
-    tour: Tour | None
-    nodes_expanded: int
-    max_depth_reached: int
+class SearchOutcome(_Record):
+    def __init__(
+        self, status: SearchStatus, tour: Tour | None, nodes_expanded: int, max_depth_reached: int
+    ) -> None:
+        super().__init__(status, tour, nodes_expanded, max_depth_reached)
 
 
 class _Counters:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
 from operator import countOf, index
@@ -38,6 +37,7 @@ from .board import (
     Board,
     Vertex,
     _parse_hole,
+    _Record,
     format_vertex,
     is_knight_move,
     parse_sides,
@@ -70,31 +70,34 @@ def classify_move(a: Vertex, b: Vertex) -> MoveKind:
     return MoveKind.L_MOVE if taxicab_distance(a, b) == 3 else MoveKind.DIAGONAL5
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    description: str
+class Violation(_Record):
+    def __init__(self, index: int, description: str) -> None:
+        super().__init__(index, description)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    violations: tuple[Violation, ...]
-    endpoint_squared_distance: int
-    move_taxicab_counts: dict[int, int]
-    entry_count: int
-    link_count: int
+class VerificationReport(_Record):
+    def __init__(
+        self,
+        valid: bool,
+        violations: tuple[Violation, ...],
+        endpoint_squared_distance: int,
+        move_taxicab_counts: dict[int, int],
+        entry_count: int,
+        link_count: int,
+    ) -> None:
+        super().__init__(
+            valid, violations, endpoint_squared_distance, move_taxicab_counts,
+            entry_count, link_count,
+        )
 
     @property
     def first_violation(self) -> Violation | None:
         return self.violations[0] if self.violations else None
 
 
-@dataclass(frozen=True)
-class Tour:
-    board: Board
-    kind: TourKind
-    vertices: tuple[Vertex, ...]
+class Tour(_Record):
+    def __init__(self, board: Board, kind: TourKind, vertices: tuple[Vertex, ...]) -> None:
+        super().__init__(board, kind, vertices)
 
     @property
     def link_count(self) -> int:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import pickle
@@ -21,7 +22,10 @@ from eknight.board import (
     squared_distance,
     taxicab_distance,
 )
-from eknight.feasibility import color_counts, move_decompositions
+from eknight.corpus import CorpusEntry
+from eknight.feasibility import FeasibilityVerdict, color_counts, move_decompositions
+from eknight.search import SearchConfig, SearchOutcome, SearchStatus
+from eknight.tour import Tour, TourKind, VerificationReport, Violation
 
 from bruteforce import brute_adjacency, random_board
 
@@ -449,6 +453,75 @@ def test_board_equality_and_pickle():
     assert c == a
     assert not c._cache
     assert c.degree_histogram() == a.degree_histogram()
+
+
+def test_records_behave_as_frozen_dataclasses():
+    # each record keeps the fields, in order, and the repr a frozen dataclass printed
+    board, vertices = Board([1, 1]), ((0, 0),)
+    tour = Tour(board, TourKind.OPEN, vertices)
+    tour_repr = (
+        "Tour(board=Board(1 x 1, holes=0), kind=<TourKind.OPEN: 'open'>, vertices=((0, 0),))"
+    )
+    cases = [
+        (Violation(0, "x"), "index description", "Violation(index=0, description='x')"),
+        (
+            VerificationReport(False, (Violation(0, "x"),), 0, {}, 1, 0),
+            "valid violations endpoint_squared_distance move_taxicab_counts entry_count link_count",
+            "VerificationReport(valid=False, violations=(Violation(index=0, description='x'),), "
+            "endpoint_squared_distance=0, move_taxicab_counts={}, entry_count=1, link_count=0)",
+        ),
+        (tour, "board kind vertices", tour_repr),
+        (
+            SearchConfig(),
+            "target start use_warnsdorff node_budget deterministic parallel_width "
+            "use_feasibility_precheck",
+            "SearchConfig(target=<TourKind.OPEN: 'open'>, start=None, use_warnsdorff=True, "
+            "node_budget=None, deterministic=True, parallel_width=0, "
+            "use_feasibility_precheck=True)",
+        ),
+        (
+            SearchOutcome(SearchStatus.FOUND, tour, 1, 1),
+            "status tour nodes_expanded max_depth_reached",
+            f"SearchOutcome(status=<SearchStatus.FOUND: 'found'>, tour={tour_repr}, "
+            "nodes_expanded=1, max_depth_reached=1)",
+        ),
+        (
+            FeasibilityVerdict(True, ()),
+            "feasible reasons notes",
+            "FeasibilityVerdict(feasible=True, reasons=(), notes=())",
+        ),
+        (
+            CorpusEntry("X", board, TourKind.OPEN, vertices, "p"),
+            "id board kind vertices provenance",
+            "CorpusEntry(id='X', board=Board(1 x 1, holes=0), kind=<TourKind.OPEN: 'open'>, "
+            "vertices=((0, 0),), provenance='p')",
+        ),
+    ]
+    for record, fields, text in cases:
+        assert repr(record) == text
+        fields = fields.split()
+        assert list(vars(record)) == fields, text
+        values = tuple(vars(record).values())
+        twin = type(record)(*values)
+        assert twin == record and not twin != record
+        if isinstance(record, VerificationReport):  # a dict field: unhashable, as before
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record) == hash(values)
+        # equal only to its own class: not to a subclass, nor to its field tuple
+        assert type("Sub", (type(record),), {})(*values) != record
+        assert record != values
+        for name in (fields[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, fields[0])
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.copy(record) == record and copy.deepcopy(record) == record
+    # a changed copy comes from the constructor
+    changed = SearchConfig(**{**vars(SearchConfig()), "node_budget": 5})
+    assert changed.node_budget == 5 and changed != SearchConfig()
 
 
 def test_parse_helpers():

@@ -1,5 +1,5 @@
-import dataclasses
 import errno
+import itertools
 import json
 import os
 import subprocess
@@ -290,7 +290,7 @@ def test_corpus_check_all_reports_a_damaged_entry(capsys, monkeypatch):
             return entry
         vertices = list(entry.vertices)
         vertices[2], vertices[5] = vertices[5], vertices[2]
-        return dataclasses.replace(entry, vertices=tuple(vertices))
+        return corpus.CorpusEntry(**{**vars(entry), "vertices": tuple(vertices)})
 
     monkeypatch.setattr(corpus, "get", damaged_get)
     code, out, _ = invoke(capsys, "corpus", "check-all")
@@ -487,7 +487,7 @@ import sys
 import eknight.cli
 
 def loaded():
-    watched = ("dataclasses", "importlib.resources", "multiprocessing", "pathlib")
+    watched = ("dataclasses", "importlib.resources", "inspect", "json", "multiprocessing", "pathlib")
     return " ".join(sorted(m for m in sys.modules if m.startswith("eknight") or m in watched))
 
 at_import = loaded()
@@ -521,17 +521,19 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["classical", "--sides", "2,3,4"], {"feasibility"}),
     ]
     start = {"eknight", "eknight.board", "eknight.cli"}
-    for argv, needed in cases:
+    for (command, needed), form in itertools.product(cases, ("text", "json")):
+        argv = ["--format", form, *command]
         err = _standard_library_python(_LOADED_BY_A_COMMAND, *argv).stderr
         at_import, after_run = (set(line.split()) for line in err.splitlines()[-2:])
         assert at_import == start, argv
         # multiprocessing stays out too: no command starts a process; nor
-        # does a package-data reader, since the corpus opens its files
-        assert not after_run & {"importlib.resources", "multiprocessing", "pathlib"}, argv
+        # does a package-data reader, since the corpus opens its files; the
+        # records are no dataclasses, and json writes the JSON form alone
+        # (corpus show and export-dot print their text in both forms)
         expected = start | {f"eknight.{name}" for name in needed}
-        assert after_run - {"dataclasses"} == expected, argv
-        if argv[0] == "distance":
-            assert "dataclasses" not in after_run, argv
+        if form == "json" and command[:2] != ["corpus", "show"] and command[0] != "export-dot":
+            expected.add("json")
+        assert after_run == expected, argv
 
 
 def test_package_names_resolve_lazily():

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import gc
 import hashlib
 import inspect
@@ -312,7 +311,7 @@ def test_single_vertex_board():
     config = SearchConfig(target=TourKind.CLOSED, use_feasibility_precheck=False)
     expected = SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, 1, 1)
     assert find_tour(board, config) == expected
-    assert find_tour(board, dataclasses.replace(config, parallel_width=2)) == expected
+    assert find_tour(board, SearchConfig(**{**vars(config), "parallel_width": 2})) == expected
 
 
 # open boards whose first root branch exhausts, so that the branches after it
@@ -343,7 +342,7 @@ def test_parallel_width_has_no_effect():
         seq = find_tour(board, config)
         assert seq.status is status, board
         for width in (2, 3):
-            par = find_tour(board, dataclasses.replace(config, parallel_width=width))
+            par = find_tour(board, SearchConfig(**{**vars(config), "parallel_width": width}))
             assert (par.status, par.nodes_expanded, par.max_depth_reached) == (
                 seq.status, seq.nodes_expanded, seq.max_depth_reached
             ), board

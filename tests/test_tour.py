@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +17,7 @@ from eknight.tour import (
     Tour,
     TourKind,
     TourParseError,
+    VerificationReport,
     Violation,
     _checked,
     classify_move,
@@ -435,7 +435,8 @@ def test_every_result_leaves_through_the_verifier(monkeypatch):
             report = real_verify(board, vertices, *args, **kwargs)
             if board != result_board:
                 return report
-            return dataclasses.replace(report, valid=False, violations=(Violation(0, "planted"),))
+            planted = {"valid": False, "violations": (Violation(0, "planted"),)}
+            return VerificationReport(**{**vars(report), **planted})
 
         monkeypatch.setattr(eknight.tour, "verify", planted)
         with pytest.raises(RuntimeError, match=r"^internal error: .*planted"):
@@ -640,6 +641,15 @@ class _Index:
 
     def __repr__(self) -> str:
         return f"_Index({self.value})"
+
+
+def test_board_index_takes_index_only_coordinates():
+    # in_box calls such a tuple a cell, and index is defined for every cell
+    board = Board([4, 4])
+    cell = (_Index(1), _Index(2))
+    assert board.in_box(cell)
+    assert board.index(cell) == board.index((1, 2)) == 6
+    assert board.vertex_at(board.index(cell)) == (1, 2)
 
 
 # each turns an int coordinate into another type: a float, Fraction or Decimal

@@ -11,6 +11,9 @@ A board stores its knight graph once, as one neighbour bitmask per
 mixed-radix cell index, in `Board._index_graph()`; every graph query reads the
 masks.  They are composed axis by axis, from the cells at each squared length
 0..5 within the box of the trailing axes, so no move is enumerated per cell.
+`_bits` turns a mask into cell indices: bit by bit on masks of up to 256
+bits, and a byte at a time on wider ones, where the bit-by-bit cost per
+neighbour grows with the board and a cell has dozens to hundreds of them.
 Two size guards run before anything is allocated: a box of more than
 `_MAX_CELLS` cells is refused wherever its cells are walked, and one whose
 build `_graph_bytes` bounds above `_MAX_GRAPH_BYTES` (n^2/8 bytes of masks for
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 Vertex = tuple[int, ...]
 
@@ -115,12 +118,45 @@ def _check_hole(hole: Iterable[int], sides: tuple[int, ...]) -> Vertex:
     return tuple(map(operator.index, hole))
 
 
+def _byte_bits() -> list[tuple[int, ...]]:
+    """Entry b lists the set bits of the byte b, in increasing order.
+
+    Built by doubling: the entries from 2**bit up are those below it plus bit.
+    """
+    table: list[tuple[int, ...]] = [()]
+    for bit in range(8):
+        table += [bits + (bit,) for bits in table]
+    return table
+
+
+_BYTE_BITS = _byte_bits()
+_WIDE_MASK = 256  # masks of more bits than this are decoded a byte at a time
+
+
 def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of mask (>= 0), in increasing order, found lazily.
+
+    Two decodes, chosen by the mask's own width.  Up to `_WIDE_MASK` bits the
+    lowest set bit is isolated and cleared: three big-int operations per set
+    bit, each O(width / 30) digits.  A wider mask is read from its
+    little-endian bytes: `compress` skips the zero bytes in C, and
+    `_BYTE_BITS` lists the bits of each other byte, so the cost per bit does
+    not grow with the width.  The switch sits where the two decode a search
+    row about equally fast, so boards of up to 256 cells, the small searches
+    and the README's commands among them, keep the first decode.
+    """
+    width = mask.bit_length()
+    if width <= _WIDE_MASK:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    data = mask.to_bytes((width + 7) // 8, "little")
+    for i in itertools.compress(range(len(data)), data):
+        base = i << 3
+        for bit in _BYTE_BITS[data[i]]:
+            yield base + bit
 
 
 class _Record:
@@ -285,6 +321,19 @@ class Board:
             coords.append(c)
         return tuple(coords)
 
+    def _vertices_at(self, indices: Sequence[int]) -> tuple[Vertex, ...]:
+        """`vertex_at` of each index (each in range), one axis at a time.
+
+        An axis's coordinates are (index // weight) % side, taken by `map` over
+        all the indices rather than by one call per index; only the result
+        grows with the number of indices.
+        """
+        return tuple(zip(*(
+            map(operator.mod, map(operator.floordiv, indices, itertools.repeat(w)),
+                itertools.repeat(s))
+            for w, s in zip(self._weights, self.sides)
+        )))
+
     def _cells(self) -> Iterator[Vertex]:
         """Every cell of the box, holes included, in index order.
 
@@ -314,7 +363,7 @@ class Board:
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """All non-hole knight targets of v, in lexicographic order."""
         i = self.index(self._require_vertex(v))
-        return tuple(self.vertex_at(j) for j in self._index_graph()[0][i])
+        return self._vertices_at(self._index_graph()[0][i])
 
     def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
         """Map from each non-hole vertex to its neighbors, built on each call."""

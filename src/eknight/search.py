@@ -315,7 +315,7 @@ def _outcome(
     nodes: int, depth: int,
 ) -> SearchOutcome:
     """The one exit of every search: its index path, if any, becomes a verified tour."""
-    tour = None if path is None else _checked(Tour(board, kind, tuple(map(board.vertex_at, path))))
+    tour = None if path is None else _checked(Tour(board, kind, board._vertices_at(path)))
     return SearchOutcome(status, tour, nodes, depth)
 
 

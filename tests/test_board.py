@@ -6,13 +6,16 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from eknight.board import (
     _MAX_GRAPH_BYTES,
+    _WIDE_MASK,
     Board,
+    _bits,
     _graph_bytes,
     is_knight_move,
     parse_board_text,
@@ -245,6 +248,78 @@ def test_index_matches_lexicographic_order():
         message = rf"^index {i} out of range for Board\(3 x 2 x 4, holes=0\)$"
         with pytest.raises(ValueError, match=message):
             board.vertex_at(i)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The oracle for `_bits`: every index below the mask's width whose bit is set."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        0,
+        1,
+        1 << 3**8 - 1,
+        # all ones just below, at and just above the width where the decode switches
+        (1 << _WIDE_MASK - 1) - 1,
+        (1 << _WIDE_MASK) - 1,
+        (1 << _WIDE_MASK + 1) - 1,
+        1 << _WIDE_MASK | 1,
+        (1 << 3**8) - 1,
+    ],
+    ids=["0", "1", "high bit", "ones below", "ones at", "ones above", "ends above", "ones 3^8"],
+)
+def test_bits_of_edge_masks(mask):
+    assert list(_bits(mask)) == _set_bits(mask)
+
+
+# widths drawn toward both ends of 0..3^8, every bit set with probability 1/2
+@given(
+    st.one_of(st.integers(0, 3**8), st.integers(0, 3**8).map(lambda w: 3**8 - w)),
+    st.randoms(use_true_random=False),
+)
+def test_bits_of_dense_masks(width, rng):
+    mask = rng.getrandbits(width)
+    assert list(_bits(mask)) == _set_bits(mask)
+
+
+@given(st.frozensets(st.integers(0, 3**8 - 1), max_size=64))
+def test_bits_of_sparse_masks(cells):
+    mask = sum(1 << i for i in cells)
+    assert list(_bits(mask)) == _set_bits(mask) == sorted(cells)
+
+
+def test_bits_are_found_lazily():
+    # callers take the first bit with next, a prefix with islice, or walk the
+    # bits while a search runs, so both decodes yield each index as they find it
+    assert isinstance(_bits(1), Iterator)
+    assert next(_bits(1 << 5000 | 1)) == 0
+    assert list(itertools.islice(_bits((1 << 3**8) - 1), 3)) == [0, 1, 2]
+    assert list(itertools.islice(_bits(0b1011 << 4000 | 1 << 6000), 4)) == [4000, 4001, 4003, 6000]
+
+
+@pytest.mark.parametrize(
+    "board",
+    [Board([3] * 6, holes=[(1,) * 6]), Board([2] * 9), Board([4, 5, 3, 6], holes=[(3, 4, 2, 5)])],
+    ids=["3^6 less its centre", "2^9", "4x5x3x6 less a corner"],
+)
+def test_rows_decode_each_mask(board):
+    rows, masks, _ = board._index_graph()
+    assert list(rows) == [tuple(_set_bits(m)) for m in masks]
+
+
+@pytest.mark.parametrize(
+    "board",
+    [Board([2, 3, 4], holes=[(0, 1, 2), (1, 2, 3)]), Board([3] * 7, holes=[(1,) * 7])],
+    ids=["2x3x4 less two cells", "3^7 less its centre"],
+)
+def test_vertices_at_is_vertex_at(board):
+    # a search's index path becomes its tour's vertices here, in path order
+    every = list(range(board.box_size))
+    random.Random(board.box_size).shuffle(every)
+    assert board._vertices_at(every) == tuple(map(board.vertex_at, every))
+    assert board._vertices_at([]) == ()
 
 
 def test_is_knight_move_examples():

@@ -991,6 +991,11 @@ PINNED_SEARCHES = {
         lambda: find_tour(Board([3] * 7)),
         ("found", 2187, 2187, "6e4d5f4b3230a7ae"),
     ),
+    # each cell has about 286 neighbours, so the rows are decoded a byte at a time
+    "open 3^8": (
+        lambda: find_tour(Board([3] * 8)),
+        ("found", 6561, 6561, "a3dde6452129ab28"),
+    ),
     "closed 3^6 less its centre": (
         lambda: find_tour(Board([3] * 6, holes=[(1,) * 6]), SearchConfig(target=TourKind.CLOSED)),
         ("found", 739, 728, "055db80cffe81a1d"),

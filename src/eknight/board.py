@@ -313,16 +313,13 @@ class Board:
         return sum(operator.index(c) * w for c, w in zip(v, self._weights))
 
     def vertex_at(self, index: int) -> Vertex:
+        """The box cell, hole or not, at this mixed-radix index: `index` inverted."""
         if not 0 <= index < self._box_size:
             raise ValueError(f"index {index} out of range for {self!r}")
-        coords = []
-        for w in self._weights:
-            c, index = divmod(index, w)
-            coords.append(c)
-        return tuple(coords)
+        return self._vertices_at((index,))[0]
 
     def _vertices_at(self, indices: Sequence[int]) -> tuple[Vertex, ...]:
-        """`vertex_at` of each index (each in range), one axis at a time.
+        """The cell at each index (each in range): the package's one index-to-vertex decode.
 
         An axis's coordinates are (index // weight) % side, taken by `map` over
         all the indices rather than by one call per index; only the result
@@ -366,10 +363,12 @@ class Board:
         return self._vertices_at(self._index_graph()[0][i])
 
     def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        """Map from each non-hole vertex to its neighbors, built on each call."""
+        """Map from each non-hole vertex to its neighbors, built on each call;
+        the non-hole cells are decoded once, by the one decode `_vertices_at`."""
         nbrs, _, full = self._index_graph()
-        cells = list(self._cells())
-        return {cells[i]: tuple(cells[j] for j in nbrs[i]) for i in _bits(full)}
+        every = list(_bits(full))
+        cells = dict(zip(every, self._vertices_at(every)))
+        return {cells[i]: tuple(map(cells.__getitem__, nbrs[i])) for i in every}
 
     def degree_histogram(self) -> dict[int, int]:
         """Map degree -> number of non-hole vertices with that degree.

@@ -251,16 +251,12 @@ def _cmd_export_dot(args: argparse.Namespace) -> _Output:
 def _board_dot(board: Board) -> str:
     from .tour import classify_move
 
-    lines = ["graph {"]
-    for v in board.vertices():
-        lines.append(f'  "{format_vertex(v)}";')
-    for v, ns in board.adjacency().items():
-        for w in ns:
-            if v < w:
-                lines.append(
-                    f'  "{format_vertex(v)}" -- "{format_vertex(w)}" '
-                    f'[label="{classify_move(v, w).value}"];'
-                )
+    adjacency = board.adjacency()  # keys in lexicographic order, each named once
+    names = {v: f'"{format_vertex(v)}"' for v in adjacency}
+    lines = ["graph {", *(f"  {name};" for name in names.values())]
+    for v, ns in adjacency.items():
+        lines += (f'  {names[v]} -- {names[w]} [label="{classify_move(v, w).value}"];'
+                  for w in ns if v < w)
     lines.append("}")
     return _text(lines)
 
@@ -268,17 +264,17 @@ def _board_dot(board: Board) -> str:
 def _tour_dot(tour: Tour) -> str:
     from .tour import TourKind, classify_move
 
-    lines = ["digraph {"]
     sequence = list(tour.vertices)
     if tour.kind is TourKind.CLOSED:
         sequence.append(tour.vertices[0])
-    for i in range(len(sequence) - 1):
-        a, b = sequence[i], sequence[i + 1]
+    names = list(map(format_vertex, sequence))
+    lines = ["digraph {"]
+    for i in range(1, len(sequence)):
         try:
-            label = classify_move(a, b).value
+            label = classify_move(sequence[i - 1], sequence[i]).value
         except ValueError:
             label = "illegal"
-        lines.append(f'  "{format_vertex(a)}" -> "{format_vertex(b)}" [label="{i + 1} {label}"];')
+        lines.append(f'  "{names[i - 1]}" -> "{names[i]}" [label="{i} {label}"];')
     lines.append("}")
     return _text(lines)
 

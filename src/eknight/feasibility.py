@@ -22,9 +22,9 @@ closed 4 x n and 2^4 x 4, with or without holes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
-from typing import NamedTuple
 
 from .board import Board, Vertex, _integers, _Record
 
@@ -39,9 +39,7 @@ def color(v: Vertex) -> Color:
     return Color.DARK if sum(v) % 2 == 0 else Color.LIGHT
 
 
-class ColorCounts(NamedTuple):
-    dark: int
-    light: int
+ColorCounts = namedtuple("ColorCounts", "dark light")
 
 
 def color_counts(board: Board) -> ColorCounts:

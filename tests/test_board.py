@@ -315,10 +315,15 @@ def test_rows_decode_each_mask(board):
     ids=["2x3x4 less two cells", "3^7 less its centre"],
 )
 def test_vertices_at_is_vertex_at(board):
-    # a search's index path becomes its tour's vertices here, in path order
+    # a search's index path becomes its tour's vertices here, in path order;
+    # vertex_at decodes through _vertices_at, so both are checked against
+    # the lexicographic order of the box, holes included
+    cells = list(itertools.product(*map(range, board.sides)))
     every = list(range(board.box_size))
     random.Random(board.box_size).shuffle(every)
-    assert board._vertices_at(every) == tuple(map(board.vertex_at, every))
+    expected = tuple(cells[i] for i in every)
+    assert board._vertices_at(every) == expected
+    assert tuple(map(board.vertex_at, every)) == expected
     assert board._vertices_at([]) == ()
 
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -9,7 +10,8 @@ import pytest
 
 import eknight
 from eknight import corpus
-from eknight.board import Board
+from eknight import cli
+from eknight.board import Board, format_vertex
 from eknight.cli import run
 from eknight.construct import closed_tour_on_hypercube
 from eknight.tour import TourKind, parse_tour, serialize_tour
@@ -315,6 +317,36 @@ def test_export_dot_board(capsys):
     assert '"0,0" -- "1,2" [label="L_move"];' in out
 
 
+# sha256 of `export-dot --sides ...` stdout, and the board's vertex count
+_DOT_PINS = [
+    (("2,3,4", "--hole", "0,1,2", "--hole", "1,2,3"),
+     "d8c63830773cbe0af8fe7da075a0cf01afd98bd55a3c90a137d6017981acf5da", 22),
+    (("3,3,3,3,3",), "f8ea321eb0fce54ed3c9e54e32af1bb92f850bbbf9be7f755ee24988644c33bf", 243),
+    (("2,2,2,2,2,2",), "72c886ee666fc968452924037361e85c8d7ef424a9433ee8855a623b5b4fc900", 64),
+    # both move kinds, and 76 edges whose index difference an edge of the
+    # other kind has first: labels cached per difference would be wrong here
+    (("2,2,2,2,2,3",), "70dc39ca35b9278eed017d828d2ce1870d16a8c2b6b0ca350ebf6da5597b1fe2", 96),
+]
+
+
+def test_export_dot_board_is_pinned_and_names_each_vertex_once(capsys, monkeypatch):
+    named = []
+
+    def counting_format_vertex(v):
+        named.append(v)
+        return format_vertex(v)
+
+    monkeypatch.setattr(cli, "format_vertex", counting_format_vertex)
+    for sides, sha256, vertex_count in _DOT_PINS:
+        named.clear()
+        code, out, _ = invoke(capsys, "export-dot", "--sides", *sides)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, sides
+        # each vertex is formatted once, in the order of its node line
+        assert len(named) == vertex_count, sides
+        assert named == sorted(set(named)), sides
+
+
 def test_export_dot_tour(capsys, tmp_path):
     path = write_tour(tmp_path, "pc26.tour", corpus.raw_text(corpus.PC_2_6))
     code, out, _ = invoke(capsys, "export-dot", "--tour", path)
@@ -487,7 +519,8 @@ import sys
 import eknight.cli
 
 def loaded():
-    watched = ("dataclasses", "importlib.resources", "inspect", "json", "multiprocessing", "pathlib")
+    watched = ("dataclasses", "importlib.resources", "inspect", "json", "multiprocessing", "pathlib",
+               "typing")
     return " ".join(sorted(m for m in sys.modules if m.startswith("eknight") or m in watched))
 
 at_import = loaded()
@@ -528,8 +561,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         assert at_import == start, argv
         # multiprocessing stays out too: no command starts a process; nor
         # does a package-data reader, since the corpus opens its files; the
-        # records are no dataclasses, and json writes the JSON form alone
-        # (corpus show and export-dot print their text in both forms)
+        # records are no dataclasses, ColorCounts is no typing.NamedTuple,
+        # and json writes the JSON form alone (corpus show and export-dot
+        # print their text in both forms)
         expected = start | {f"eknight.{name}" for name in needed}
         if form == "json" and command[:2] != ["corpus", "show"] and command[0] != "export-dot":
             expected.add("json")

@@ -15,6 +15,7 @@ it runs at its start, so `distance` loads no other module of the package.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 
 from .board import Board, _parse_ints, format_sides, format_vertex, parse_board_text, parse_vertex
@@ -249,13 +250,16 @@ def _cmd_export_dot(args: argparse.Namespace) -> _Output:
 
 
 def _board_dot(board: Board) -> str:
-    from .tour import classify_move
+    from .tour import MoveKind
 
+    # every edge is a knight move, so the number of coordinates it changes
+    # names its kind: two for an L-move, five for a diagonal5 move
+    labels = {2: MoveKind.L_MOVE.value, 5: MoveKind.DIAGONAL5.value}
     adjacency = board.adjacency()  # keys in lexicographic order, each named once
     names = {v: f'"{format_vertex(v)}"' for v in adjacency}
     lines = ["graph {", *(f"  {name};" for name in names.values())]
     for v, ns in adjacency.items():
-        lines += (f'  {names[v]} -- {names[w]} [label="{classify_move(v, w).value}"];'
+        lines += (f'  {names[v]} -- {names[w]} [label="{labels[sum(map(operator.ne, v, w))]}"];'
                   for w in ns if v < w)
     lines.append("}")
     return _text(lines)

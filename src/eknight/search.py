@@ -16,6 +16,14 @@ across the branches, and a spent budget is a status that `_dfs` returns,
 not an exception.  Every outcome, tour, proof or longest path, leaves
 through `_outcome`, which re-verifies its tour with `tour._checked`.
 
+An open search given no start, and the longest-path sweep, walk one start
+per symmetry orbit (`_orbit_least`).  Reflecting an axis, or swapping two
+axes of equal side, maps knight moves to knight moves, so a path from one
+start gives a path from every cell of its orbit.  The starts run in
+increasing index order and every branch is exhaustive, so the first start
+that yields a tour, or a longest path, is the least of its orbit: skipping
+the others changes no verdict and no path, only the node count.
+
 A path through every cell is an open tour.  So unless a seed walk already
 meets the colour cap, `longest_path` asks the open-tour search, whose cuts
 are far stronger than its own bound, for a path through every cell before
@@ -78,6 +86,7 @@ a full rescan, which the root makes: its parent's list holds every cell.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
@@ -310,6 +319,40 @@ def _restoring(
         onward[u] += 1
 
 
+def _orbit_least(board: Board, starts: Iterable[int]) -> Iterator[int]:
+    """The starts, increasing indices, that are least in their orbit under the box's symmetries.
+
+    The group is generated by each axis reflection x_a -> s_a - 1 - x_a and by
+    each swap of two consecutive axes of equal side.  Index order is
+    lexicographic, so a cell is least in its orbit exactly when 2 * x_a < s_a
+    on every axis and x_a <= x_b for each such pair of axes a < b.  Unless
+    every generator maps the holes onto themselves, every start is yielded.
+    Each start is read off `board._cells()`, already in index order, when it
+    is reached, so a search that finds its tour from the first start tests
+    one.  Each generator keeps the colour of every cell or swaps it, and one
+    that swaps makes the colour counts equal; so where the counts differ, as
+    under the majority-colour rule, each orbit has cells of one colour.
+    """
+    sides = board.sides
+    pairs = [a for a in range(len(sides) - 1) if sides[a] == sides[a + 1]]
+    holes = board.holes
+    if holes and (
+        any({h[:a] + (s - 1 - h[a],) + h[a + 1:] for h in holes} != holes
+            for a, s in enumerate(sides))
+        or any({h[:a] + (h[a + 1], h[a]) + h[a + 2:] for h in holes} != holes for a in pairs)
+    ):
+        yield from starts
+        return
+    limits = [(s + 1) // 2 for s in sides]  # x < (s + 1) // 2 exactly when 2 * x < s
+    cells = board._cells()
+    at = 0
+    for i in starts:
+        v = next(islice(cells, i - at, None))
+        at = i + 1
+        if all(map(operator.lt, v, limits)) and all(v[a] <= v[a + 1] for a in pairs):
+            yield i
+
+
 def _outcome(
     board: Board, kind: TourKind, status: SearchStatus, path: list[int] | None,
     nodes: int, depth: int,
@@ -323,7 +366,8 @@ def find_tour(board: Board, config: SearchConfig | None = None) -> SearchOutcome
     """Search for an open or closed tour on the board.
 
     With start=None, open searches try every (majority-color) start vertex
-    and closed searches fix the lexicographically smallest vertex; an
+    that is least in its symmetry orbit, see `_orbit_least`, and closed
+    searches fix the lexicographically smallest vertex; an
     explicit start restricts open searches to tours from that vertex and
     fixes it as a closed search's start vertex.  Every found tour is
     re-verified before being returned.
@@ -370,6 +414,7 @@ def _tour_search(
         if abs(dark - light) == 1:
             # any open tour must start and end on the majority color
             starts = list(_bits(dark_mask if dark > light else full & ~dark_mask))
+        starts = _orbit_least(board, starts)
 
     rng = None if config.deterministic else random.Random()
     n = len(every)
@@ -426,8 +471,10 @@ def prove_nonexistence(
 ) -> SearchOutcome:
     """Exhaustively search for a tour; exhausted_none proves nonexistence.
 
-    Open targets try every start vertex (modulo the majority-color rule),
-    closed targets one; only the node budget bounds the work.
+    Open targets try one start vertex per symmetry orbit (modulo the
+    majority-color rule), closed targets one; only the node budget bounds
+    the work.  A tour from a skipped start would map onto one from the
+    least start of its orbit, so the proof covers every start.
     """
     config = SearchConfig(
         target=target,
@@ -448,10 +495,11 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
     it, the open-tour search (precheck on) decides whether a path through
     every vertex exists: a found tour is the answer, an exhausted search
     lowers the cap by one.  Then, unless the best path meets the cap, a
-    branch-and-bound sweep over every start vertex runs until a path meets
-    the cap or every start exhausts; its bound is the count of
-    still-reachable vertices refined by color alternation, so pruned
-    branches provably cannot beat the incumbent.
+    branch-and-bound sweep over one start vertex per symmetry orbit runs
+    until a path meets the cap or every such start exhausts; its bound is
+    the count of still-reachable vertices refined by color alternation, so
+    pruned branches provably cannot beat the incumbent, and a longest path
+    from a skipped start maps onto one from the least start of its orbit.
     One node budget covers the tour search and the sweep.  With a binding
     budget the best path found so far is returned with status
     budget_exceeded.
@@ -504,7 +552,7 @@ def longest_path(board: Board, node_budget: int | None = None) -> SearchOutcome:
         elif status is SearchStatus.EXHAUSTED_NONE:
             cap = n - 1
     if status is SearchStatus.EXHAUSTED_NONE and len(best) < cap:
-        status, _ = _dfs(_bits(full), expand, accept, counters)
+        status, _ = _dfs(_orbit_least(board, _bits(full)), expand, accept, counters)
     if status is not SearchStatus.BUDGET_EXCEEDED:
         # a path meets the proven cap, or every start exhausted: best is longest
         status = SearchStatus.FOUND

@@ -2,16 +2,19 @@ import collections
 import gc
 import hashlib
 import inspect
+import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eknight.search
 from eknight.board import Board, _bits
-from eknight.feasibility import classical_closed_tour_condition
+from eknight.feasibility import classical_closed_tour_condition, color_counts
 from eknight.search import (
     SearchConfig,
     SearchOutcome,
@@ -351,7 +354,8 @@ def test_parallel_width_has_no_effect():
 
 def test_a_parallel_width_starts_no_process():
     # a search is one in-process loop over its root branches: on 4x4 every
-    # branch exhausts, and still nothing loads multiprocessing
+    # branch, one per symmetry orbit of the starts, exhausts, and still
+    # nothing loads multiprocessing
     code = (
         "import sys\n"
         "from eknight import Board, SearchConfig, find_tour\n"
@@ -363,7 +367,7 @@ def test_a_parallel_width_starts_no_process():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "exhausted_none 1608 False\n"
+    assert proc.stdout == "exhausted_none 331 False\n"
 
 
 def test_budget_is_exact_in_every_mode():
@@ -890,14 +894,15 @@ PINNED_SEARCHES = {
         lambda: find_tour(Board([4, 5], holes=[(0, 2)])),
         ("found", 287, 19, "e6a7f392c7ea3ad7"),
     ),
-    # every start branch exhausts: no open tour exists on 4x4 or 3x6
+    # every start branch, one per symmetry orbit, exhausts: no open tour
+    # exists on 4x4 or 3x6
     "open 4x4 proof": (
         lambda: prove_nonexistence(Board([4, 4]), TourKind.OPEN),
-        ("exhausted_none", 1608, 12, None),
+        ("exhausted_none", 331, 12, None),
     ),
     "open 3x6 proof": (
         lambda: prove_nonexistence(Board([3, 6]), TourKind.OPEN),
-        ("exhausted_none", 1146, 14, None),
+        ("exhausted_none", 425, 14, None),
     ),
     # the precheck's outer-layer rule refuses every closed board of side 4
     # below, so the proofs run with the precheck off
@@ -945,23 +950,23 @@ PINNED_SEARCHES = {
         ]
     },
     "open 4x4 budget 300": (
-        # the budget runs out several start branches in
+        # the budget runs out a few start branches in
         lambda: find_tour(Board([4, 4]), SearchConfig(target=TourKind.OPEN, node_budget=300)),
         ("budget_exceeded", 301, 12, None),
     ),
     # no path covers 4x4, 3x5 or 3x6: the open-tour search proves it first
-    # (1,608 nodes on 4x4), then the sweep finds the longest path
+    # (331 nodes on 4x4), then the sweep finds the longest path
     "longest 4x4": (
         lambda: longest_path(Board([4, 4])),
-        ("found", 1651, 15, "645ed8b227c18774"),
+        ("found", 374, 15, "645ed8b227c18774"),
     ),
     "longest 3x5": (
         lambda: longest_path(Board([3, 5])),
-        ("found", 378, 14, "afd6e43f7a4e14e8"),
+        ("found", 248, 14, "afd6e43f7a4e14e8"),
     ),
     "longest 3x6": (
         lambda: longest_path(Board([3, 6])),
-        ("found", 1552, 17, "e967ec3bbebda59e"),
+        ("found", 831, 17, "e967ec3bbebda59e"),
     ),
     # one budget covers both phases: it runs out in the proof, then in the
     # sweep, and the best path is the longest seed walk's
@@ -969,9 +974,9 @@ PINNED_SEARCHES = {
         lambda: longest_path(Board([4, 4]), node_budget=5),
         ("budget_exceeded", 6, 12, "3c5ddaca6862f93f"),
     ),
-    "longest 4x4 budget 1620": (
-        lambda: longest_path(Board([4, 4]), node_budget=1620),
-        ("budget_exceeded", 1621, 12, "3c5ddaca6862f93f"),
+    "longest 4x4 budget 340": (
+        lambda: longest_path(Board([4, 4]), node_budget=340),
+        ("budget_exceeded", 341, 12, "3c5ddaca6862f93f"),
     ),
     # the precheck refuses a full path, and a seed walk meets the cap of 25
     "longest holed 3^3 budget 500": (
@@ -1010,3 +1015,132 @@ def test_search_trees_are_pinned(name):
     tour = outcome.tour and hashlib.sha256(outcome.tour.serialized().encode()).hexdigest()[:16]
     got = (outcome.status.value, outcome.nodes_expanded, outcome.max_depth_reached, tour)
     assert got == expected
+
+
+def _symmetry_oracle_boards(max_cells):
+    """Every box of 2 or 3 axes, sides >= 2 in any order, of at most max_cells
+    cells, plus 2^5, 2^3 x 3 and 2^2 x 3^2, whole and less its corners; and
+    each of those with sides in increasing order and at most 30 cells less its
+    centre cell (the middle cell of each axis, rounded up) and less two seeded
+    random sets of one or two cells.  The corners, and the centre of an
+    all-odd box, keep every symmetry; the other holes mostly break some.
+    Above 30 cells such holes make trees of 10^5 nodes and more on 4 x 8,
+    4 x 9 and 2 x 3 x 6, where no start is skipped."""
+    boxes = [
+        sides
+        for k in (2, 3)
+        for sides in itertools.product(range(2, max_cells // 2 + 1), repeat=k)
+        if math.prod(sides) <= max_cells
+    ]
+    boxes += [sides for sides in [(2,) * 5, (2, 2, 2, 3), (2, 2, 3, 3)]
+              if math.prod(sides) <= max_cells]
+    rng = random.Random(97531)
+    for sides in boxes:
+        cells = list(itertools.product(*map(range, sides)))
+        corners = list(itertools.product(*((0, s - 1) for s in sides)))
+        holes = [[], corners[: len(cells) - 1]]
+        if len(cells) <= 30 and list(sides) == sorted(sides):
+            holes.append([tuple(s // 2 for s in sides)])
+            holes += [rng.sample(cells, rng.randint(1, 2)) for _ in range(2)]
+        yield from (Board(sides, h) for h in holes)
+
+
+def _answer(outcome):
+    return outcome.status, outcome.tour and outcome.tour.vertices
+
+
+def test_one_start_per_orbit_changes_no_open_answer():
+    # the answer of a search that walks every allowed start: one search per
+    # start, in index order, until one finds a tour
+    walked = fewer = 0
+    for board in _symmetry_oracle_boards(36):
+        dark, light = color_counts(board)
+        starts = [
+            v for v in board.vertices()
+            if abs(dark - light) != 1 or (sum(v) % 2 == 0) == (dark > light)
+        ]
+        for precheck in (True, False):
+            nodes = 0
+            for start in starts:
+                outcome = find_tour(board, SearchConfig(start=start,
+                                                        use_feasibility_precheck=precheck))
+                nodes += outcome.nodes_expanded
+                if outcome.status is SearchStatus.FOUND:
+                    break
+            reduced = find_tour(board, SearchConfig(use_feasibility_precheck=precheck))
+            assert _answer(reduced) == _answer(outcome), (board, precheck)
+            assert reduced.nodes_expanded <= nodes, (board, precheck)
+            walked += 1
+            fewer += reduced.nodes_expanded < nodes
+    # the reduction really skips branches on many of the boards
+    assert walked == 722 and fewer > 50, (walked, fewer)
+
+
+def test_one_start_per_orbit_changes_no_longest_path(monkeypatch):
+    boards = list(_symmetry_oracle_boards(20))
+    reduced = [longest_path(board) for board in boards]
+    # without the reduction the sweep walks every start
+    monkeypatch.setattr(eknight.search, "_orbit_least", lambda board, starts: starts)
+    fewer = 0
+    for board, outcome in zip(boards, reduced):
+        every = longest_path(board)
+        assert _answer(outcome) == _answer(every), board
+        assert outcome.nodes_expanded <= every.nodes_expanded, board
+        fewer += outcome.nodes_expanded < every.nodes_expanded
+    assert fewer > 20, fewer
+
+
+def test_orbit_least_starts_are_the_least_cells_of_their_orbits():
+    # the orbit of each cell, by closing it under the generators
+    for sides, holes in [((4, 4), ()), ((3, 4, 3), ()), ((3, 3, 3), [(1, 1, 1)]),
+                         ((2, 3, 3), ()), ((4, 4), [(0, 0)])]:
+        board = Board(sides, holes)
+        swaps = [a for a in range(len(sides) - 1) if sides[a] == sides[a + 1]]
+
+        def images(v):
+            for a, s in enumerate(sides):
+                yield v[:a] + (s - 1 - v[a],) + v[a + 1:]
+            for a in swaps:
+                yield v[:a] + (v[a + 1], v[a]) + v[a + 2:]
+
+        least = []
+        for v in board.vertices():
+            orbit, frontier = {v}, [v]
+            while frontier:
+                frontier = [w for u in frontier for w in images(u) if w not in orbit]
+                orbit.update(frontier)
+            if holes and {w for h in holes for w in images(h)} != set(holes):
+                orbit = {v}
+            least += [board.index(v)] if v == min(orbit) else []
+        every = [board.index(v) for v in board.vertices()]
+        assert list(eknight.search._orbit_least(board, every)) == least, board
+
+
+@st.composite
+def _box_and_symmetry(draw):
+    """A box of 2 or 3 axes and at most 20 cells with up to three holes, an
+    order of its axes and the axes to reflect."""
+    sides = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3)
+                 .filter(lambda sides: math.prod(sides) <= 20))
+    cells = list(itertools.product(*map(range, sides)))
+    holes = draw(st.sets(st.sampled_from(cells), max_size=min(3, len(cells) - 1)))
+    order = draw(st.permutations(range(len(sides))))
+    flips = draw(st.lists(st.booleans(), min_size=len(sides), max_size=len(sides)))
+    return Board(sides, holes), order, flips
+
+
+@given(_box_and_symmetry())
+@settings(max_examples=150, deadline=None)
+def test_verdicts_do_not_change_under_box_symmetries(case):
+    # reordering the axes (with their sides), equal-side swaps among them, and
+    # reflecting axes map knight moves to knight moves, and the holes with them
+    board, order, flips = case
+    sides = board.sides
+
+    def image(v):
+        return tuple(sides[a] - 1 - v[a] if flip else v[a] for a, flip in zip(order, flips))
+
+    mapped = Board([sides[a] for a in order], map(image, board.holes))
+    for target in (TourKind.OPEN, TourKind.CLOSED):
+        config = SearchConfig(target=target)
+        assert find_tour(mapped, config).status is find_tour(board, config).status, target
